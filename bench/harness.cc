@@ -68,14 +68,18 @@ suiteModel(const std::string &name)
     static std::map<std::string, SuiteModel> cache;
     auto it = cache.find(name);
     if (it == cache.end()) {
-        const SuiteData &data = collectedSuite(name);
-        const std::uint64_t collect_key = pipeline::collectStageKey(
-            suiteByName(name), standardCollection());
+        const SuiteProfile &suite = suiteByName(name);
+        const std::uint64_t collect_key =
+            pipeline::collectStageKey(suite, standardCollection());
         pipeline::Pipeline pipe{benchStore()};
         it = cache
                  .emplace(name,
-                          pipeline::trainStage(pipe, data, collect_key,
-                                               standardModelConfig()))
+                          pipeline::trainStage(
+                              pipe, suite.name,
+                              [&]() -> const SuiteData & {
+                                  return collectedSuite(name);
+                              },
+                              collect_key, standardModelConfig()))
                  .first;
     }
     return it->second;

@@ -285,7 +285,8 @@ const CommandSpec *const kCommands[] = {
 /**
  * Load a "suite directory" (one CSV per benchmark, as written by
  * `wct collect`) into SuiteData. Weights are taken proportional to
- * each file's sample count.
+ * each file's sample count. Every file must have the first file's
+ * header; a mismatch is fatal and names both files.
  */
 SuiteData
 loadSuiteDirectory(const std::string &path)
@@ -309,6 +310,11 @@ loadSuiteDirectory(const std::string &path)
         BenchmarkData bench;
         bench.name = file.stem().string();
         bench.samples = readCsvFile(file.string());
+        if (!data.benchmarks.empty() &&
+            bench.samples.columnNames() !=
+                data.benchmarks.front().samples.columnNames())
+            wct_fatal("'", file.string(), "' has a different header "
+                      "than '", files.front().string(), "'");
         bench.instructionWeight =
             static_cast<double>(bench.samples.numRows());
         data.benchmarks.push_back(std::move(bench));
@@ -1209,6 +1215,11 @@ runCli(const std::vector<std::string> &args, std::ostream &out,
         err << "unknown command '" << command << "'\n";
         printUsage(err);
         return 2;
+    }
+    if (std::find(args.begin() + 1, args.end(), "--help") !=
+        args.end()) {
+        err << "usage:\n" << cli::usageText(*spec);
+        return 0;
     }
     const ParsedOptions options = cli::parseCommand(*spec, args, 1);
 

@@ -8,9 +8,10 @@
  * ("--intervals expects an integer"), required flags are enforced
  * ("missing required --suite"), and unknown flags are fatal instead
  * of being silently swallowed as positionals. The same specs generate
- * the usage text, so `wct help` can never drift from what the parser
- * accepts. (Before this existed, every command re-implemented its own
- * subset of this logic against a stringly-typed map.)
+ * the usage text, so `wct help` and `wct <command> --help` can never
+ * drift from what the parser accepts. (Before this existed, every
+ * command re-implemented its own subset of this logic against a
+ * stringly-typed map.)
  */
 
 #ifndef WCT_CLI_OPTIONS_HH

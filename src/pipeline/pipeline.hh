@@ -13,9 +13,9 @@
  * the same lifecycle: look the key up in the store, decode on a hit,
  * compute + encode + store on a miss, and warn-and-recompute when the
  * artifact on disk is corrupt or mismatched. Each execution is
- * recorded as a StageRun (key, hit/miss, wall time, artifact size),
- * which `wct run` and bench/perf_pipeline render as the per-stage
- * cache report.
+ * recorded as a StageRun (key, hit/miss, own wall time, artifact
+ * size), which `wct run` and bench/perf_pipeline render as the
+ * per-stage cache report.
  *
  * Because stage keys chain (a train key hashes the collect key it
  * consumes), changing any parameter re-runs exactly the stages
@@ -30,6 +30,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "data/artifact_store.hh"
@@ -44,7 +45,9 @@ struct StageRun
     std::string label;  ///< human name, e.g. "collect:cpu2006"
     ArtifactId id;      ///< where the output lives in the store
     bool cached = false; ///< artifact hit (no recompute)
-    double ms = 0.0;     ///< wall time incl. decode or compute+store
+    /** Own wall time incl. decode or compute+store; stages executed
+     * inside this one's compute are excluded (see StageClock). */
+    double ms = 0.0;
     std::size_t payloadBytes = 0;
 };
 
@@ -81,6 +84,45 @@ class Pipeline
     void record(StageRun run) { runs_.push_back(std::move(run)); }
 
     /**
+     * Times one stage execution. A stage can run others inside its
+     * compute (a train miss collects its suite on demand); those keep
+     * their own records, and their wall time is excluded from the
+     * enclosing stage's ownMs(). Stages run on the calling thread
+     * only, so the clocks nest like the calls.
+     */
+    class StageClock
+    {
+      public:
+        explicit StageClock(Pipeline &pipe)
+            : pipe_(pipe), start_(std::chrono::steady_clock::now()),
+              outerNestedMs_(std::exchange(pipe.nestedMs_, 0.0))
+        {
+        }
+
+        StageClock(const StageClock &) = delete;
+        StageClock &operator=(const StageClock &) = delete;
+
+        /** Hands this stage's whole wall time to the enclosing one. */
+        ~StageClock() { pipe_.nestedMs_ = outerNestedMs_ + wallMs(); }
+
+        /** Wall time so far minus the stages nested inside it. */
+        double ownMs() const { return wallMs() - pipe_.nestedMs_; }
+
+      private:
+        double
+        wallMs() const
+        {
+            return std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - start_)
+                .count();
+        }
+
+        Pipeline &pipe_;
+        std::chrono::steady_clock::time_point start_;
+        double outerNestedMs_;
+    };
+
+    /**
      * Execute one stage. `encode` serializes a computed value into an
      * artifact payload; `decode` must reject any byte sequence it did
      * not produce (returning nullopt falls back to recompute, with a
@@ -98,7 +140,7 @@ class Pipeline
         StageRun record;
         record.label = label;
         record.id = id;
-        const auto start = std::chrono::steady_clock::now();
+        const StageClock clock(*this);
 
         std::optional<T> value;
         if (auto payload = store_.load(id)) {
@@ -119,10 +161,7 @@ class Pipeline
             store_.store(id, payload);
         }
 
-        const auto stop = std::chrono::steady_clock::now();
-        record.ms =
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count();
+        record.ms = clock.ownMs();
         runs_.push_back(record);
         return std::move(*value);
     }
@@ -130,6 +169,7 @@ class Pipeline
   private:
     ArtifactStore store_;
     std::vector<StageRun> runs_;
+    double nestedMs_ = 0.0; ///< wall ms of stages nested in the open one
 };
 
 } // namespace wct::pipeline

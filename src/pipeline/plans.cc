@@ -2,6 +2,7 @@
 
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "mtree/serialize.hh"
 #include "util/logging.hh"
@@ -33,39 +34,62 @@ suiteKeys(const SuiteProfile &suite, const PlanProtocol &protocol)
     return keys;
 }
 
-/** Collect + train one suite; fills `keys` for downstream chaining. */
-SuiteModel
-buildSuite(Pipeline &pipe, const SuiteProfile &suite,
-           const PlanProtocol &protocol, SuiteKeys &keys)
+/** One suite's chained keys and trained model. */
+struct SuiteBuild
 {
-    keys = suiteKeys(suite, protocol);
-    const SuiteData data =
-        collectStage(pipe, suite, protocol.collection);
-    return trainStage(pipe, data, keys.collect, protocol.model);
+    SuiteKeys keys;
+    SuiteModel model;
+};
+
+/** Train one suite; `data` is collected only if training misses. */
+SuiteBuild
+buildSuite(Pipeline &pipe, const SuiteProfile &suite,
+           const PlanProtocol &protocol, const SuiteSource &data)
+{
+    SuiteBuild build;
+    build.keys = suiteKeys(suite, protocol);
+    build.model = trainStage(pipe, suite.name, data, build.keys.collect,
+                             protocol.model);
+    return build;
 }
 
-/** The full single-suite plan: collect, train, profile, similarity. */
-void
+/**
+ * Samples a collection of `suite` holds: the sum of its shard plans
+ * (collectStage refuses a shard of any other size), known without
+ * collecting or loading anything.
+ */
+std::size_t
+plannedSamples(const SuiteProfile &suite, const CollectionConfig &config)
+{
+    std::size_t samples = 0;
+    for (const BenchmarkProfile &bench : suite.benchmarks)
+        for (const ShardSpec &spec : shardPlan(bench, config))
+            samples += spec.intervals;
+    return samples;
+}
+
+/** The full single-suite plan: train, profile, similarity, and the
+ * collection either of the first two needs. */
+SuiteBuild
 runSuitePlan(Pipeline &pipe, const SuiteProfile &suite,
              const PlanProtocol &protocol, std::ostream &out)
 {
-    SuiteKeys keys = suiteKeys(suite, protocol);
-    const SuiteData data =
-        collectStage(pipe, suite, protocol.collection);
-    const SuiteModel model =
-        trainStage(pipe, data, keys.collect, protocol.model);
-    const ProfileTable table =
-        profileStage(pipe, data, model.tree, keys.train);
+    const SuiteSource data =
+        collectOnDemand(pipe, suite, protocol.collection);
+    SuiteBuild build = buildSuite(pipe, suite, protocol, data);
+    const ProfileTable table = profileStage(
+        pipe, suite.name, data, build.model.tree, build.keys.train);
     const SimilarityMatrix sim =
-        similarityStage(pipe, table, keys.profile, {});
+        similarityStage(pipe, table, build.keys.profile, {});
 
     out << "== " << suite.name << " ==\n";
-    out << "benchmarks: " << data.benchmarks.size()
-        << ", samples: " << data.totalSamples()
-        << ", leaf models: " << model.tree.numLeaves()
-        << ", mean CPI: " << model.meanCpi << "\n\n";
+    out << "benchmarks: " << suite.benchmarks.size()
+        << ", samples: " << plannedSamples(suite, protocol.collection)
+        << ", leaf models: " << build.model.tree.numLeaves()
+        << ", mean CPI: " << build.model.meanCpi << "\n\n";
     out << table.render() << "\n";
     out << sim.render() << "\n";
+    return build;
 }
 
 TransferabilityConfig
@@ -80,35 +104,18 @@ transferConfig(const std::string &model_name,
 
 /** The four cross/self assessments of Section VI over both suites. */
 void
-runTransferPlan(Pipeline &pipe, const PlanProtocol &protocol,
-                std::ostream &out)
+runTransfers(Pipeline &pipe, const SuiteBuild &cpu,
+             const SuiteBuild &omp, std::ostream &out)
 {
-    SuiteKeys cpu_keys;
-    SuiteKeys omp_keys;
-    const SuiteModel cpu =
-        buildSuite(pipe, specCpu2006(), protocol, cpu_keys);
-    const SuiteModel omp =
-        buildSuite(pipe, specOmp2001(), protocol, omp_keys);
-
-    struct Direction
-    {
-        const SuiteModel *model;
-        std::uint64_t modelKey;
-        const SuiteModel *target;
-        std::uint64_t targetKey;
-    };
-    const Direction directions[] = {
-        {&cpu, cpu_keys.train, &cpu, cpu_keys.train},
-        {&cpu, cpu_keys.train, &omp, omp_keys.train},
-        {&omp, omp_keys.train, &omp, omp_keys.train},
-        {&omp, omp_keys.train, &cpu, cpu_keys.train},
-    };
-    for (const Direction &d : directions) {
+    const std::pair<const SuiteBuild *, const SuiteBuild *>
+        directions[] = {{&cpu, &cpu}, {&cpu, &omp}, {&omp, &omp},
+                        {&omp, &cpu}};
+    for (const auto &[model, target] : directions) {
         const auto report = transferStage(
-            pipe, *d.model, d.modelKey, d.target->test, d.targetKey,
-            "test",
-            transferConfig(d.model->suiteName,
-                           d.target->suiteName + ".test"));
+            pipe, model->model, model->keys.train, target->model.test,
+            target->keys.train, "test",
+            transferConfig(model->model.suiteName,
+                           target->model.suiteName + ".test"));
         out << report.render() << "\n";
     }
 }
@@ -228,13 +235,24 @@ runPlan(Pipeline &pipe, const std::string &name,
         return;
     }
     if (name == "transfer") {
-        runTransferPlan(pipe, protocol, out);
+        const auto build = [&](const SuiteProfile &suite) {
+            return buildSuite(
+                pipe, suite, protocol,
+                collectOnDemand(pipe, suite, protocol.collection));
+        };
+        const SuiteBuild cpu = build(specCpu2006());
+        const SuiteBuild omp = build(specOmp2001());
+        runTransfers(pipe, cpu, omp, out);
         return;
     }
     if (name == "full") {
-        runSuitePlan(pipe, specCpu2006(), protocol, out);
-        runSuitePlan(pipe, specOmp2001(), protocol, out);
-        runTransferPlan(pipe, protocol, out);
+        // Each suite is built once: its plan's model and keys feed
+        // the transfers too.
+        const SuiteBuild cpu =
+            runSuitePlan(pipe, specCpu2006(), protocol, out);
+        const SuiteBuild omp =
+            runSuitePlan(pipe, specOmp2001(), protocol, out);
+        runTransfers(pipe, cpu, omp, out);
         return;
     }
     wct_fatal("unknown plan '", name, "'");

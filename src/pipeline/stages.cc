@@ -1,10 +1,12 @@
 #include "pipeline/stages.hh"
 
 #include <chrono>
+#include <memory>
 #include <sstream>
 
 #include "core/suite_io.hh"
 #include "mtree/serialize.hh"
+#include "pmu/events.hh"
 #include "util/thread_pool.hh"
 
 namespace wct::pipeline
@@ -587,6 +589,10 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
                 .count();
         };
 
+    // Everything this call takes is nested time for a stage that
+    // collects on demand (a train or profile miss).
+    const Pipeline::StageClock clock(pipe);
+
     const std::size_t n = suite.benchmarks.size();
     std::vector<ShardTask> tasks;
     std::vector<std::vector<Dataset>> parts(n);
@@ -612,19 +618,25 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
 
     // Serial store pass first: hits decode in deterministic order
     // (no concurrent remote fetches racing on one connection), and
-    // only the true misses fan out below.
+    // only the true misses fan out below. A shard of the wrong shape
+    // is refused, so every stitched suite has exactly the planned
+    // sample count.
+    const std::vector<std::string> columns = metricColumnNames();
     std::vector<std::size_t> misses;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
         ShardTask &task = tasks[t];
         const auto start = std::chrono::steady_clock::now();
         if (auto payload = pipe.store().load(task.run.id)) {
-            if (auto samples = decodeShardSamples(*payload)) {
+            auto samples = decodeShardSamples(*payload);
+            if (samples && samples->columnNames() == columns &&
+                samples->numRows() == task.spec.intervals) {
                 task.run.cached = true;
                 task.run.payloadBytes = payload->size();
                 parts[task.bench][task.shard] = std::move(*samples);
             } else {
                 wct_warn("artifact '", task.run.id.fileName(),
-                         "' failed to decode; recomputing shard");
+                         "' failed to decode or does not match its "
+                         "shard; recomputing shard");
             }
         }
         task.run.ms = msSince(start);
@@ -668,14 +680,27 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
     return out;
 }
 
+SuiteSource
+collectOnDemand(Pipeline &pipe, const SuiteProfile &suite,
+                const CollectionConfig &config)
+{
+    auto data = std::make_shared<std::optional<SuiteData>>();
+    return [&pipe, &suite, &config, data]() -> const SuiteData & {
+        if (!*data)
+            *data = collectStage(pipe, suite, config);
+        return **data;
+    };
+}
+
 SuiteModel
-trainStage(Pipeline &pipe, const SuiteData &data,
-           std::uint64_t collectKey, const SuiteModelConfig &config)
+trainStage(Pipeline &pipe, const std::string &suiteName,
+           const SuiteSource &data, std::uint64_t collectKey,
+           const SuiteModelConfig &config)
 {
     const ArtifactId id{"train", trainStageKey(collectKey, config)};
     SuiteModel model = pipe.run<SuiteModel>(
-        "train:" + data.suiteName, id, encodeSuiteModel,
-        decodeSuiteModel, [&] { return buildSuiteModel(data, config); });
+        "train:" + suiteName, id, encodeSuiteModel, decodeSuiteModel,
+        [&] { return buildSuiteModel(data(), config); });
 
     // Publish the tree text under its content hash so the serving
     // registry can resolve the model without the training inputs.
@@ -690,13 +715,14 @@ trainStage(Pipeline &pipe, const SuiteData &data,
 }
 
 ProfileTable
-profileStage(Pipeline &pipe, const SuiteData &data,
-             const ModelTree &tree, std::uint64_t trainKey)
+profileStage(Pipeline &pipe, const std::string &suiteName,
+             const SuiteSource &data, const ModelTree &tree,
+             std::uint64_t trainKey)
 {
     const ArtifactId id{"profile", profileStageKey(trainKey)};
     return pipe.run<ProfileTable>(
-        "profile:" + data.suiteName, id, encodeProfileTable,
-        decodeProfileTable, [&] { return ProfileTable(data, tree); });
+        "profile:" + suiteName, id, encodeProfileTable,
+        decodeProfileTable, [&] { return ProfileTable(data(), tree); });
 }
 
 SimilarityMatrix

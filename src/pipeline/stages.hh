@@ -4,8 +4,8 @@
  * derivation plus an artifact codec over Pipeline::run():
  *
  *   collect    SuiteProfile + CollectionConfig  -> SuiteData
- *   train      SuiteData + SuiteModelConfig     -> SuiteModel
- *   profile    SuiteData + SuiteModel           -> ProfileTable
+ *   train      SuiteSource + SuiteModelConfig   -> SuiteModel
+ *   profile    SuiteSource + SuiteModel         -> ProfileTable
  *   similarity ProfileTable + subset            -> SimilarityMatrix
  *   transfer   SuiteModel + target dataset      -> TransferabilityReport
  *
@@ -18,6 +18,11 @@
  * its payload format version, so a codec change can never resurrect
  * stale bytes.
  *
+ * Train and profile take their samples through a SuiteSource that is
+ * called only on a miss, so a warm plan collects (and loads) no
+ * shards at all: it executes train, profile, similarity and transfer
+ * and nothing else.
+ *
  * The train stage additionally publishes the tree's *text* under
  * ("mtree", modelTreeContentKey(text)): the serving registry resolves
  * models from the store by that content hash (see serve/registry.hh),
@@ -29,6 +34,7 @@
 #define WCT_PIPELINE_STAGES_HH
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -147,33 +153,52 @@ std::string encodeTransferReport(const TransferabilityReport &report);
 std::optional<TransferabilityReport>
 decodeTransferReport(std::string_view payload);
 
-// ---- The stages themselves. Each takes its inputs eagerly (a warm
-// plan run therefore reports a hit for every stage) and appends one
-// StageRun to the pipeline. ----
+// ---- The stages themselves. Each appends a StageRun for what it
+// executes (collect: one per shard); a warm run therefore records
+// exactly the stages it reads, all hits. ----
+
+/**
+ * Samples of one suite, asked for only by a stage that misses. A
+ * source may collect on its first call (collectOnDemand) and must
+ * return the same data on every call.
+ */
+using SuiteSource = std::function<const SuiteData &()>;
 
 /**
  * Collect a suite at shard granularity: every (benchmark, shard)
  * task is its own ("collect-shard", collectShardKey) artifact. Hits
- * load and decode in a serial deterministic pass; misses compute and
- * publish over the work-stealing pool into pre-assigned slots; the
- * stitch is a fixed-order concatenation of the shard datasets — so
- * the suite is byte-identical for any WCT_THREADS and any warm/cold
- * mix, and a fleet of workers sharing one store dedupes at shard
- * granularity. Records one StageRun per shard.
+ * load and decode in a serial deterministic pass; a shard whose
+ * columns are not metricColumnNames() or whose row count is not its
+ * ShardSpec::intervals is a miss, like a checksum failure. Misses
+ * compute and publish over the work-stealing pool into pre-assigned
+ * slots; the stitch is a fixed-order concatenation of the shard
+ * datasets — so the suite is byte-identical for any WCT_THREADS and
+ * any warm/cold mix, and a fleet of workers sharing one store dedupes
+ * at shard granularity. Records one StageRun per shard.
  */
 SuiteData collectStage(Pipeline &pipe, const SuiteProfile &suite,
                        const CollectionConfig &config);
 
 /**
+ * A SuiteSource that runs collectStage on its first call and keeps
+ * the result. `pipe`, `suite` and `config` must outlive the source.
+ */
+SuiteSource collectOnDemand(Pipeline &pipe, const SuiteProfile &suite,
+                            const CollectionConfig &config);
+
+/**
  * Train the suite model, cached under ("train", trainStageKey), and
  * ensure the tree text exists under ("mtree", its content key).
+ * `data` is called only on a miss.
  */
-SuiteModel trainStage(Pipeline &pipe, const SuiteData &data,
-                      std::uint64_t collectKey,
+SuiteModel trainStage(Pipeline &pipe, const std::string &suiteName,
+                      const SuiteSource &data, std::uint64_t collectKey,
                       const SuiteModelConfig &config);
 
-/** Classify the suite into leaf profiles, cached under ("profile"). */
-ProfileTable profileStage(Pipeline &pipe, const SuiteData &data,
+/** Classify the suite into leaf profiles, cached under ("profile").
+ * `data` is called only on a miss. */
+ProfileTable profileStage(Pipeline &pipe, const std::string &suiteName,
+                          const SuiteSource &data,
                           const ModelTree &tree,
                           std::uint64_t trainKey);
 

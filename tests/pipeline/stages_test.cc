@@ -2,15 +2,18 @@
  * @file
  * Tests of the staged pipeline (src/pipeline): stage-key sensitivity
  * to every input, codec round trips, cache hit/miss lifecycle with
- * corrupt-artifact recovery, cold/warm plan byte-identity, and gc
- * liveness from chained plan keys.
+ * corrupt-artifact recovery, nested stage timing, cold/warm plan
+ * byte-identity with collection only on demand, and gc liveness from
+ * chained plan keys.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include <unistd.h>
 
@@ -245,8 +248,9 @@ TEST(StageRunTest, WarmStagesHitAndMatchColdBytes)
     {
         pipeline::Pipeline pipe{ArtifactStore(dir.path.string())};
         const SuiteData data = collectStage(pipe, suite, config);
-        const SuiteModel model =
-            trainStage(pipe, data, collect_key, model_config);
+        const SuiteModel model = trainStage(
+            pipe, suite.name, [&]() -> const SuiteData & { return data; },
+            collect_key, model_config);
         EXPECT_FALSE(pipe.allCached());
         EXPECT_EQ(pipe.cachedCount(), 0u);
         cold_bytes = encodeSuiteData(data) + encodeSuiteModel(model);
@@ -264,8 +268,9 @@ TEST(StageRunTest, WarmStagesHitAndMatchColdBytes)
     {
         pipeline::Pipeline pipe{ArtifactStore(dir.path.string())};
         const SuiteData data = collectStage(pipe, suite, config);
-        const SuiteModel model =
-            trainStage(pipe, data, collect_key, model_config);
+        const SuiteModel model = trainStage(
+            pipe, suite.name, [&]() -> const SuiteData & { return data; },
+            collect_key, model_config);
         // One run per collect shard (3 benchmarks x 1 shard) + train.
         EXPECT_TRUE(pipe.allCached());
         EXPECT_EQ(pipe.cachedCount(), 4u);
@@ -321,6 +326,69 @@ TEST(StageRunTest, CorruptArtifactRecomputesAndRepairs)
     EXPECT_EQ(*repaired, first_payload);
 }
 
+TEST(StageRunTest, ShardOfTheWrongShapeIsRecollected)
+{
+    // Well-formed shards stored under the right id, one a row short
+    // and one a column short, are refused like a checksum failure:
+    // plans take their sample counts from the shard plans.
+    const TempDir dir("shape");
+    const SuiteProfile suite = miniSuite();
+    const CollectionConfig config = miniConfig();
+    const ArtifactStore store(dir.path.string());
+    const SuiteData uncached = collectSuite(suite, config);
+    const Dataset &first = uncached.benchmarks[0].samples;
+    ASSERT_EQ(shardPlan(suite.benchmarks[0], config).size(), 1u);
+    const ArtifactId id = collectShardArtifacts(suite, config)[0];
+
+    std::vector<std::size_t> rows(first.numRows() - 1);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        rows[r] = r;
+    std::vector<std::string> columns = first.columnNames();
+    columns.pop_back();
+    for (const Dataset &wrong :
+         {first.selectRows(rows), first.selectColumns(columns)}) {
+        ASSERT_TRUE(store.store(id, encodeShardSamples(wrong)));
+        pipeline::Pipeline pipe{store};
+        const SuiteData data = collectStage(pipe, suite, config);
+        EXPECT_FALSE(pipe.runs().front().cached);
+        EXPECT_EQ(encodeSuiteData(data), encodeSuiteData(uncached));
+        EXPECT_EQ(store.load(id), encodeShardSamples(first));
+    }
+}
+
+TEST(StageRunTest, NestedStageTimeIsExcluded)
+{
+    // A stage whose compute runs another stage (as a train miss
+    // collects its suite on demand) records only its own time; the
+    // nested stage keeps its own record.
+    using namespace std::chrono_literals;
+    const auto same = [](const std::string &value) { return value; };
+    const auto parse =
+        [](std::string_view payload) -> std::optional<std::string> {
+        return std::string(payload);
+    };
+    pipeline::Pipeline pipe;
+    const auto stage = [&](const char *label, std::uint64_t key,
+                           const std::function<std::string()> &compute) {
+        return pipe.run<std::string>(label, {"train", key}, same, parse,
+                                     compute);
+    };
+    stage("outer", 1, [&] {
+        std::this_thread::sleep_for(50ms);
+        return stage("inner", 2, [] {
+            std::this_thread::sleep_for(400ms);
+            return std::string("x");
+        });
+    });
+    ASSERT_EQ(pipe.runs().size(), 2u);
+    const StageRun &inner = pipe.runs()[0];
+    const StageRun &outer = pipe.runs()[1];
+    EXPECT_EQ(inner.label, "inner");
+    EXPECT_GE(inner.ms, 400.0);
+    EXPECT_GE(outer.ms, 50.0);
+    EXPECT_LT(outer.ms, 400.0);
+}
+
 TEST(StageRunTest, DisabledStoreStillComputes)
 {
     pipeline::Pipeline pipe; // no store
@@ -352,28 +420,102 @@ TEST(PlanTest, NamesAreStable)
     EXPECT_EQ(pipeline::planNames().size(), 4u);
 }
 
+/** Run `plan` at the tiny protocol through `pipe`; its output. */
+std::string
+planText(pipeline::Pipeline &pipe, const std::string &plan)
+{
+    std::ostringstream out;
+    pipeline::runPlan(pipe, plan, tinyProtocol(), out);
+    return out.str();
+}
+
 TEST(PlanTest, ColdAndWarmRunsAreByteIdentical)
 {
-    const TempDir dir("plan");
+    // Cold runs collect each suite once (40 shards over both) and
+    // transfer from the models in memory; warm runs execute only
+    // train, profile and similarity per suite and the transfers.
+    struct Case
+    {
+        const char *plan;
+        std::size_t coldStages;
+        std::size_t warmStages;
+    };
+    for (const Case &c : {Case{"omp2001", 11 + 3, 3},
+                          Case{"transfer", 40 + 2 + 4, 2 + 4},
+                          Case{"full", 40 + 6 + 4, 6 + 4}}) {
+        SCOPED_TRACE(c.plan);
+        const TempDir dir(std::string("plan_") + c.plan);
+        const ArtifactStore store(dir.path.string());
+
+        pipeline::Pipeline cold_pipe{store};
+        const std::string cold = planText(cold_pipe, c.plan);
+        EXPECT_EQ(cold_pipe.cachedCount(), 0u);
+        EXPECT_EQ(cold_pipe.runs().size(), c.coldStages);
+
+        pipeline::Pipeline warm_pipe{store};
+        EXPECT_EQ(planText(warm_pipe, c.plan), cold);
+        EXPECT_TRUE(warm_pipe.allCached());
+        EXPECT_EQ(warm_pipe.runs().size(), c.warmStages);
+
+        // Uncached execution agrees byte-for-byte with both.
+        pipeline::Pipeline fresh_pipe;
+        EXPECT_EQ(planText(fresh_pipe, c.plan), cold);
+    }
+}
+
+TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
+{
+    const TempDir dir("ondemand");
+    const ArtifactStore store(dir.path.string());
     const pipeline::PlanProtocol protocol = tinyProtocol();
+    pipeline::Pipeline cold_pipe{store};
+    const std::string cold = planText(cold_pipe, "full");
 
-    std::ostringstream cold;
-    pipeline::Pipeline cold_pipe{ArtifactStore(dir.path.string())};
-    pipeline::runPlan(cold_pipe, "omp2001", protocol, cold);
-    EXPECT_FALSE(cold_pipe.allCached());
+    // The headers' sample counts come from the shard plans and match
+    // the collected suites.
+    for (const SuiteProfile *suite : {&specCpu2006(), &specOmp2001()}) {
+        pipeline::Pipeline pipe{store};
+        const SuiteData data =
+            collectStage(pipe, *suite, protocol.collection);
+        EXPECT_NE(cold.find("== " + suite->name + " ==\nbenchmarks: " +
+                            std::to_string(data.benchmarks.size()) +
+                            ", samples: " +
+                            std::to_string(data.totalSamples()) + ","),
+                  std::string::npos)
+            << suite->name;
+    }
 
-    std::ostringstream warm;
-    pipeline::Pipeline warm_pipe{ArtifactStore(dir.path.string())};
-    pipeline::runPlan(warm_pipe, "omp2001", protocol, warm);
+    // Without its profile artifact, omp2001's profile stage is the
+    // one miss, and it asks for the samples: the suite's 11 shards
+    // load as hits.
+    const ArtifactId omp_profile{
+        "profile",
+        profileStageKey(trainStageKey(
+            collectStageKey(specOmp2001(), protocol.collection),
+            protocol.model))};
+    ASSERT_TRUE(store.remove(omp_profile));
+    pipeline::Pipeline repair_pipe{store};
+    EXPECT_EQ(planText(repair_pipe, "full"), cold);
+    EXPECT_EQ(repair_pipe.runs().size(), 10 + 11u);
+    std::size_t shard_hits = 0;
+    for (const StageRun &run : repair_pipe.runs()) {
+        shard_hits += run.id.kind == "collect-shard" && run.cached;
+        EXPECT_EQ(run.cached, run.id.fileName() != omp_profile.fileName())
+            << run.label;
+    }
+    EXPECT_EQ(shard_hits, 11u);
+
+    // A warm run reads no shard at all: with every one deleted it is
+    // still all hits, 10 stages, byte-identical.
+    std::size_t removed = 0;
+    for (const ArtifactInfo &info : store.list())
+        if (info.id.kind == "collect-shard")
+            removed += store.remove(info.id);
+    EXPECT_EQ(removed, 40u);
+    pipeline::Pipeline warm_pipe{store};
+    EXPECT_EQ(planText(warm_pipe, "full"), cold);
     EXPECT_TRUE(warm_pipe.allCached());
-    EXPECT_EQ(warm_pipe.cachedCount(), warm_pipe.runs().size());
-    EXPECT_EQ(warm.str(), cold.str());
-
-    // Uncached execution agrees byte-for-byte with both.
-    std::ostringstream fresh;
-    pipeline::Pipeline fresh_pipe;
-    pipeline::runPlan(fresh_pipe, "omp2001", protocol, fresh);
-    EXPECT_EQ(fresh.str(), cold.str());
+    EXPECT_EQ(warm_pipe.runs().size(), 10u);
 }
 
 TEST(PlanTest, GcFromPlanArtifactsKeepsThePlanWarm)
