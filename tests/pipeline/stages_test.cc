@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -518,34 +519,76 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
     EXPECT_EQ(warm_pipe.runs().size(), 10u);
 }
 
+/** FNV-1a of a plan's artifact file names, one per line, in order. */
+std::uint64_t
+artifactListDigest(const std::vector<ArtifactId> &ids)
+{
+    std::string names;
+    for (const ArtifactId &id : ids)
+        names += id.fileName() + "\n";
+    return fnv1a64(names);
+}
+
 TEST(PlanTest, GcFromPlanArtifactsKeepsThePlanWarm)
 {
-    const TempDir dir("gc");
-    const pipeline::PlanProtocol protocol = tinyProtocol();
-    const ArtifactStore store(dir.path.string());
+    // Per plan: its artifact count after a cold tiny run (shards,
+    // train/profile/similarity, transfers, mtree), and the digest of
+    // its planArtifacts list at the standard protocol on an empty
+    // store, recorded before plans were declared in one table.
+    const struct
+    {
+        const char *plan;
+        std::size_t artifacts;
+        std::uint64_t standardDigest;
+    } cases[] = {
+        {"cpu2006", 29 + 3 + 1, 0x4544977e09c48a4eull},
+        {"omp2001", 11 + 3 + 1, 0xc4266a2638529335ull},
+        {"transfer", 40 + 2 + 4 + 2, 0x6fdcb9d7213fe29eull},
+        {"full", 40 + 6 + 4 + 2, 0xba00fcd050a50bc4ull},
+    };
+    ASSERT_EQ(pipeline::planNames().size(), std::size(cases));
+    const TempDir empty_dir("gc_empty");
+    const ArtifactStore empty(empty_dir.path.string());
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.plan);
+        const std::uint64_t digest = artifactListDigest(
+            pipeline::planArtifacts(c.plan, {}, empty));
+        EXPECT_EQ(digest, c.standardDigest) << keyHex(digest);
 
-    std::ostringstream cold;
-    pipeline::Pipeline pipe{store};
-    pipeline::runPlan(pipe, "omp2001", protocol, cold);
+        const TempDir dir(std::string("gc_") + c.plan);
+        const pipeline::PlanProtocol protocol = tinyProtocol();
+        const ArtifactStore store(dir.path.string());
+        std::ostringstream cold;
+        pipeline::Pipeline pipe{store};
+        pipeline::runPlan(pipe, c.plan, protocol, cold);
 
-    // Garbage: an artifact no plan references.
-    ASSERT_TRUE(store.store({"train", 0xdead}, "stale"));
+        // A cold run writes exactly the plan's artifact set.
+        const auto live = pipeline::planArtifacts(c.plan, protocol, store);
+        std::set<std::string> listed;
+        for (const ArtifactId &id : live)
+            listed.insert(id.fileName());
+        std::set<std::string> stored;
+        for (const ArtifactInfo &info : store.list())
+            stored.insert(info.id.fileName());
+        EXPECT_EQ(live.size(), c.artifacts);
+        EXPECT_EQ(listed.size(), live.size());
+        EXPECT_EQ(stored, listed);
 
-    const auto live =
-        pipeline::planArtifacts("omp2001", protocol, store);
-    EXPECT_GE(live.size(), pipe.runs().size());
-    const auto removed = store.gc(live);
-    ASSERT_EQ(removed.size(), 1u);
-    EXPECT_EQ(removed[0].kind, "train");
-    EXPECT_EQ(removed[0].key, 0xdeadu);
+        // Garbage, an artifact no plan references, is all gc removes.
+        ASSERT_TRUE(store.store({"train", 0xdead}, "stale"));
+        const auto removed = store.gc(live);
+        ASSERT_EQ(removed.size(), 1u);
+        EXPECT_EQ(removed[0].kind, "train");
+        EXPECT_EQ(removed[0].key, 0xdeadu);
 
-    // Everything the plan needs survived: the re-run is all hits and
-    // byte-identical.
-    std::ostringstream warm;
-    pipeline::Pipeline warm_pipe{store};
-    pipeline::runPlan(warm_pipe, "omp2001", protocol, warm);
-    EXPECT_TRUE(warm_pipe.allCached());
-    EXPECT_EQ(warm.str(), cold.str());
+        // Everything the plan needs survived: the re-run is all hits
+        // and byte-identical.
+        std::ostringstream warm;
+        pipeline::Pipeline warm_pipe{store};
+        pipeline::runPlan(warm_pipe, c.plan, protocol, warm);
+        EXPECT_TRUE(warm_pipe.allCached());
+        EXPECT_EQ(warm.str(), cold.str());
+    }
 }
 
 } // namespace
