@@ -85,7 +85,7 @@ main()
                   "machines");
 
     const SuiteProfile &suite = suiteByName("cpu2006");
-    SuiteModelConfig mconfig = bench::standardModelConfig();
+    SuiteModelConfig mconfig = pipeline::standardModelConfig();
 
     // Collect + model per machine variant.
     struct Entry
@@ -100,7 +100,7 @@ main()
         config.machine = variant.machine;
         std::fprintf(stderr, "[ablation_machine] collecting on %s\n",
                      variant.name);
-        const SuiteData data = collectSuite(suite, config);
+        const SuiteData data = pipeline::collectSuite(suite, config);
         entries.push_back(
             {&variant, buildSuiteModel(data, mconfig)});
     }

@@ -46,7 +46,7 @@ trainingFractionSweep(const Dataset &pooled)
         const Dataset train =
             sampleFraction(reservoir, fraction, draw_rng);
         const ModelTree tree = ModelTree::train(
-            train, "CPI", bench::standardModelConfig().tree);
+            train, "CPI", pipeline::standardModelConfig().tree);
         const auto metrics = evaluate(tree, test);
         table.addRow({formatDouble(fraction, 2),
                       std::to_string(train.numRows()),
@@ -66,7 +66,7 @@ smoothingPruningAblation(const Dataset &train, const Dataset &test)
     TextTable table({"smooth", "prune", "leaves", "C", "MAE"});
     for (bool smooth : {true, false}) {
         for (bool prune : {true, false}) {
-            ModelTreeConfig config = bench::standardModelConfig().tree;
+            ModelTreeConfig config = pipeline::standardModelConfig().tree;
             config.smooth = smooth;
             config.prune = prune;
             const ModelTree tree =
@@ -91,7 +91,7 @@ leafSizeSweep(const Dataset &train, const Dataset &test)
     TextTable table({"min leaf fraction", "leaves", "C", "MAE"});
     for (double fraction : {0.001, 0.005, 0.01, 0.025, 0.05, 0.10,
                             0.25}) {
-        ModelTreeConfig config = bench::standardModelConfig().tree;
+        ModelTreeConfig config = pipeline::standardModelConfig().tree;
         config.minLeafFraction = fraction;
         const ModelTree tree = ModelTree::train(train, "CPI", config);
         const auto metrics = evaluate(tree, test);
@@ -110,7 +110,7 @@ learnerComparison(const Dataset &train, const Dataset &test)
     TextTable table({"learner", "models/leaves", "C", "MAE", "RAE"});
 
     const ModelTree m5 = ModelTree::train(
-        train, "CPI", bench::standardModelConfig().tree);
+        train, "CPI", pipeline::standardModelConfig().tree);
     const auto m5_metrics = evaluate(m5, test);
     table.addRow({"M5' model tree", std::to_string(m5.numLeaves()),
                   formatDouble(m5_metrics.correlation, 4),
@@ -118,7 +118,7 @@ learnerComparison(const Dataset &train, const Dataset &test)
                   formatDouble(m5_metrics.relativeAbsoluteError, 3)});
 
     const ModelTree cart = trainRegressionTree(
-        train, "CPI", bench::standardModelConfig().tree);
+        train, "CPI", pipeline::standardModelConfig().tree);
     const auto cart_metrics = evaluate(cart, test);
     table.addRow({"regression tree (constant leaves)",
                   std::to_string(cart.numLeaves()),

@@ -23,7 +23,7 @@ main()
 
     // Collect a reduced CPU2006 twice: exact and multiplexed, from
     // identical instruction streams.
-    CollectionConfig exact_config = bench::standardCollection();
+    CollectionConfig exact_config = pipeline::standardCollection();
     exact_config.baseIntervals = 150;
     exact_config.multiplexed = false;
     CollectionConfig mux_config = exact_config;
@@ -32,8 +32,8 @@ main()
     const auto &suite = suiteByName("cpu2006");
     std::fprintf(stderr, "[ablation_pmu] collecting exact + "
                          "multiplexed runs ...\n");
-    const SuiteData exact = collectSuite(suite, exact_config);
-    const SuiteData mux = collectSuite(suite, mux_config);
+    const SuiteData exact = pipeline::collectSuite(suite, exact_config);
+    const SuiteData mux = pipeline::collectSuite(suite, mux_config);
 
     bench::banner("Ablation E: multiplexing noise per event "
                   "(suite-pooled mean and sd of densities)");
@@ -56,7 +56,7 @@ main()
 
     bench::banner("Ablation F: model accuracy trained on exact vs "
                   "multiplexed samples");
-    SuiteModelConfig mconfig = bench::standardModelConfig();
+    SuiteModelConfig mconfig = pipeline::standardModelConfig();
     const SuiteModel exact_model = buildSuiteModel(exact, mconfig);
     const SuiteModel mux_model = buildSuiteModel(mux, mconfig);
 

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <map>
 
-#include "pipeline/plans.hh"
-#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -32,18 +30,6 @@ benchStore()
 
 } // namespace
 
-CollectionConfig
-standardCollection()
-{
-    return pipeline::standardCollection();
-}
-
-SuiteModelConfig
-standardModelConfig()
-{
-    return pipeline::standardModelConfig();
-}
-
 const SuiteData &
 collectedSuite(const std::string &name)
 {
@@ -52,7 +38,7 @@ collectedSuite(const std::string &name)
     if (it == cache.end()) {
         pipeline::Pipeline pipe{benchStore()};
         SuiteData data = pipeline::collectStage(
-            pipe, suiteByName(name), standardCollection());
+            pipe, suiteByName(name), pipeline::standardCollection());
         std::fprintf(stderr, "[harness] %s: %zu samples (%s)\n",
                      name.c_str(), data.totalSamples(),
                      pipe.runs().back().cached ? "from cache"
@@ -70,7 +56,8 @@ suiteModel(const std::string &name)
     if (it == cache.end()) {
         const SuiteProfile &suite = suiteByName(name);
         const std::uint64_t collect_key =
-            pipeline::collectStageKey(suite, standardCollection());
+            pipeline::collectStageKey(suite,
+                                      pipeline::standardCollection());
         pipeline::Pipeline pipe{benchStore()};
         it = cache
                  .emplace(name,
@@ -79,7 +66,8 @@ suiteModel(const std::string &name)
                               [&]() -> const SuiteData & {
                                   return collectedSuite(name);
                               },
-                              collect_key, standardModelConfig()))
+                              collect_key,
+                              pipeline::standardModelConfig()))
                  .first;
     }
     return it->second;

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared configuration for the experiment-reproduction binaries: one
- * place defines the collection scale and tree hyper-parameters so
- * every table/figure is regenerated from the same data protocol.
+ * Shared data for the experiment-reproduction binaries: every
+ * table/figure is regenerated from the standard protocol of
+ * pipeline/plans.hh, through the same artifact store.
  */
 
 #ifndef WCT_BENCH_HARNESS_HH
@@ -10,30 +10,19 @@
 
 #include <string>
 
-#include "core/collect.hh"
-#include "core/suite_model.hh"
+#include "pipeline/plans.hh"
 
 namespace wct
 {
 namespace bench
 {
 
-/**
- * Standard collection protocol. The paper samples 2 M-instruction
- * intervals over full reference runs; here the interval is scaled to
- * 8192 instructions and the per-suite sample counts to O(10^4) so a
- * full reproduction finishes in seconds (densities are normalised
- * per instruction, so models are scale-insensitive; see DESIGN.md).
- */
-CollectionConfig standardCollection();
-
-/** Standard suite-model protocol (train on a random 10%). */
-SuiteModelConfig standardModelConfig();
-
-/** Collect a built-in suite ("cpu2006" or "omp2001") once. */
+/** Collect a built-in suite ("cpu2006" or "omp2001") once, at
+ * pipeline::standardCollection(). */
 const SuiteData &collectedSuite(const std::string &name);
 
-/** Suite model built from collectedSuite with the standard config. */
+/** Suite model built from collectedSuite at
+ * pipeline::standardModelConfig(). */
 const SuiteModel &suiteModel(const std::string &name);
 
 /** Print a section header for bench output. */

@@ -35,6 +35,7 @@
 #include "bench/run_meta.hh"
 #include "core/collect.hh"
 #include "core/suite_io.hh"
+#include "pipeline/stages.hh"
 #include "util/thread_pool.hh"
 #include "workload/suites.hh"
 
@@ -58,7 +59,7 @@ timeCollection(const SuiteProfile &suite, const CollectionConfig &config,
     result.ms = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        const SuiteData data = collectSuite(suite, config);
+        const SuiteData data = pipeline::collectSuite(suite, config);
         const auto stop = std::chrono::steady_clock::now();
         result.ms = std::min(
             result.ms,

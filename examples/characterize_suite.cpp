@@ -14,6 +14,7 @@
 #include "core/profile_table.hh"
 #include "core/similarity.hh"
 #include "core/suite_model.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 int
@@ -28,7 +29,7 @@ main()
 
     std::printf("collecting SPEC CPU2006 stand-in suite (29 "
                 "benchmarks)...\n");
-    const SuiteData data = collectSuite(specCpu2006(), collection);
+    const SuiteData data = pipeline::collectSuite(specCpu2006(), collection);
     std::printf("%zu samples total\n\n", data.totalSamples());
 
     SuiteModelConfig model_config;

@@ -14,6 +14,7 @@
 #include "core/profile_table.hh"
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 int
@@ -55,10 +56,16 @@ main()
     collection.baseIntervals = 150;
     collection.warmupInstructions = 800'000;
     std::printf("collecting the reference suite...\n");
-    SuiteData data = collectSuite(specCpu2006(), collection);
+    SuiteData data = pipeline::collectSuite(specCpu2006(), collection);
 
+    // A one-benchmark suite: stream seeds derive from benchmark
+    // names, so this collects exactly what a suite holding it would.
     std::printf("collecting %s...\n", custom.name.c_str());
-    BenchmarkData custom_data = collectBenchmark(custom, collection);
+    SuiteProfile custom_suite;
+    custom_suite.name = custom.name;
+    custom_suite.benchmarks = {custom};
+    const BenchmarkData custom_data =
+        pipeline::collectSuite(custom_suite, collection).benchmarks[0];
 
     SuiteModelConfig model_config;
     model_config.trainFraction = 0.25;

@@ -13,6 +13,7 @@
 
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 int
@@ -26,9 +27,11 @@ main()
     collection.warmupInstructions = 1'000'000;
 
     std::printf("collecting both suites...\n");
-    const SuiteData cpu_data = collectSuite(specCpu2006(), collection);
+    const SuiteData cpu_data =
+        pipeline::collectSuite(specCpu2006(), collection);
     collection.seed = 0x0317; // independent streams for the 2nd suite
-    const SuiteData omp_data = collectSuite(specOmp2001(), collection);
+    const SuiteData omp_data =
+        pipeline::collectSuite(specOmp2001(), collection);
 
     SuiteModelConfig model_config;
     model_config.trainFraction = 0.10;

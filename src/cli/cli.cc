@@ -331,17 +331,24 @@ loadModelingData(const std::string &path)
     return readCsvFile(path);
 }
 
+/**
+ * The standard collection protocol with the scale overrides every
+ * collecting command accepts; `wct collect` adds --exact, --seed and
+ * --shards, which the plan commands do not declare.
+ */
 CollectionConfig
 collectionFromOptions(const ParsedOptions &options)
 {
-    CollectionConfig config;
+    CollectionConfig config = pipeline::standardCollection();
     config.intervalInstructions =
-        options.getUint("interval-length", 8192);
-    config.baseIntervals = options.getUint("intervals", 400);
-    config.warmupInstructions = options.getUint("warmup", 1'500'000);
-    config.multiplexed = !options.has("exact");
-    config.seed = options.getUint("seed", 0x5eed);
-    config.shards = options.getUint("shards", 1);
+        options.getUint("interval-length", config.intervalInstructions);
+    config.baseIntervals =
+        options.getUint("intervals", config.baseIntervals);
+    config.warmupInstructions =
+        options.getUint("warmup", config.warmupInstructions);
+    config.multiplexed = config.multiplexed && !options.has("exact");
+    config.seed = options.getUint("seed", config.seed);
+    config.shards = options.getUint("shards", config.shards);
     if (config.shards == 0)
         wct_fatal("--shards must be at least 1");
     return config;
@@ -352,12 +359,7 @@ pipeline::PlanProtocol
 protocolFromOptions(const ParsedOptions &options)
 {
     pipeline::PlanProtocol protocol;
-    protocol.collection.intervalInstructions = options.getUint(
-        "interval-length", protocol.collection.intervalInstructions);
-    protocol.collection.baseIntervals = options.getUint(
-        "intervals", protocol.collection.baseIntervals);
-    protocol.collection.warmupInstructions = options.getUint(
-        "warmup", protocol.collection.warmupInstructions);
+    protocol.collection = collectionFromOptions(options);
     return protocol;
 }
 
@@ -460,27 +462,24 @@ cmdCollect(const ParsedOptions &options, std::ostream &err)
         wct_fatal("no benchmark '", only, "' in suite '", full.name,
                   "'");
 
-    SuiteData data;
-    const bool caching = (!options.get("cache-dir").empty() ||
-                          options.has("store-url")) &&
-                         !options.has("no-cache");
-    if (caching) {
-        // The collect stage over the artifact store: a hit is a
-        // byte-identical reload of a previous collection, a corrupt
-        // artifact warns and recomputes.
-        pipeline::Pipeline pipe{storeFromOptions(options)};
-        data = pipeline::collectStage(pipe, suite, config);
-        if (pipe.allCached())
-            err << "loaded " << data.benchmarks.size()
-                << " benchmarks from cache\n";
-        else
-            err << "collected " << data.benchmarks.size()
-                << " benchmarks (cache updated)\n";
-    } else {
+    // One path: the collect stage over the store the flags name, or
+    // over a disabled store (every shard computes) under --no-cache
+    // or without store flags. A hit is a byte-identical reload of a
+    // previous collection; a corrupt artifact warns and recomputes.
+    pipeline::Pipeline pipe{options.has("no-cache")
+                                ? ArtifactStore()
+                                : storeFromOptions(options)};
+    const bool caching = pipe.store().enabled();
+    if (!caching)
         err << "collecting " << suite.benchmarks.size()
             << " benchmarks ...\n";
-        data = collectSuite(suite, config);
-    }
+    const SuiteData data = pipeline::collectStage(pipe, suite, config);
+    if (caching && pipe.allCached())
+        err << "loaded " << data.benchmarks.size()
+            << " benchmarks from cache\n";
+    else if (caching)
+        err << "collected " << data.benchmarks.size()
+            << " benchmarks (cache updated)\n";
 
     std::filesystem::create_directories(out_dir);
     for (const BenchmarkData &bench : data.benchmarks)

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "data/binary_io.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/thread_pool.hh"
 #include "workload/source.hh"
 
 namespace wct
@@ -66,16 +64,6 @@ benchmarkIntervals(const BenchmarkProfile &bench,
     return std::max<std::size_t>(intervals, 1);
 }
 
-/** Stitch a benchmark's shard datasets back together in shard order. */
-Dataset
-concatenateShards(std::vector<Dataset> &parts)
-{
-    Dataset samples = std::move(parts.front());
-    for (std::size_t s = 1; s < parts.size(); ++s)
-        samples.append(parts[s]);
-    return samples;
-}
-
 } // namespace
 
 std::vector<ShardSpec>
@@ -126,68 +114,6 @@ collectShard(const BenchmarkProfile &bench,
     core.run(source, config.warmupInstructions);
 
     return collector.collect(source, spec.intervals);
-}
-
-BenchmarkData
-collectBenchmark(const BenchmarkProfile &bench,
-                 const CollectionConfig &config)
-{
-    BenchmarkData out;
-    out.name = bench.name;
-    out.instructionWeight = bench.instructionWeight;
-
-    const std::vector<ShardSpec> plan = shardPlan(bench, config);
-    std::vector<Dataset> parts(plan.size());
-    parallelFor(plan.size(), [&](std::size_t s) {
-        parts[s] = collectShard(bench, config, s, plan[s]);
-    });
-    out.samples = concatenateShards(parts);
-    return out;
-}
-
-SuiteData
-collectSuite(const SuiteProfile &suite, const CollectionConfig &config)
-{
-    SuiteData out;
-    out.suiteName = suite.name;
-    const std::size_t n = suite.benchmarks.size();
-    out.benchmarks.resize(n);
-
-    // Flatten every (benchmark, shard) pair into one task list so
-    // the pool load-balances across benchmarks of very different
-    // weights. Each task writes its own pre-assigned slot; the
-    // stitch below runs in a fixed order, so the suite is
-    // byte-identical for any thread count.
-    struct Task
-    {
-        std::size_t bench = 0;
-        std::size_t shard = 0;
-        ShardSpec spec;
-    };
-    std::vector<Task> tasks;
-    std::vector<std::vector<Dataset>> shard_data(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<ShardSpec> plan =
-            shardPlan(suite.benchmarks[i], config);
-        shard_data[i].resize(plan.size());
-        for (std::size_t s = 0; s < plan.size(); ++s)
-            tasks.push_back(Task{i, s, plan[s]});
-    }
-
-    parallelFor(tasks.size(), [&](std::size_t t) {
-        const Task &task = tasks[t];
-        shard_data[task.bench][task.shard] = collectShard(
-            suite.benchmarks[task.bench], config, task.shard,
-            task.spec);
-    });
-
-    for (std::size_t i = 0; i < n; ++i) {
-        BenchmarkData &bench = out.benchmarks[i];
-        bench.name = suite.benchmarks[i].name;
-        bench.instructionWeight = suite.benchmarks[i].instructionWeight;
-        bench.samples = concatenateShards(shard_data[i]);
-    }
-    return out;
 }
 
 } // namespace wct

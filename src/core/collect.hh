@@ -1,8 +1,11 @@
 /**
  * @file
- * Suite-level sample collection: run every benchmark of a suite
- * through the simulated machine and PMU, producing the per-interval
- * metric datasets everything downstream consumes.
+ * Sample collection: the protocol, each benchmark's shard plan, and
+ * one shard's run through the simulated machine and PMU, producing
+ * the per-interval metric datasets everything downstream consumes.
+ * A suite is collected by pipeline/stages.hh collectStage, which runs
+ * every shard task and stitches the results in fixed order
+ * (collectSuite is the same over no store).
  */
 
 #ifndef WCT_CORE_COLLECT_HH
@@ -121,20 +124,6 @@ std::vector<ShardSpec> shardPlan(const BenchmarkProfile &bench,
 Dataset collectShard(const BenchmarkProfile &bench,
                      const CollectionConfig &config,
                      std::size_t shard, const ShardSpec &spec);
-
-/**
- * Collect a suite: per benchmark, `config.shards` fresh machines are
- * warmed up and sampled for that shard's share of
- * round(base * weight) intervals. (Benchmark, shard) tasks fan out
- * over the global work-stealing pool and land in pre-assigned slots,
- * so the result is byte-identical for any WCT_THREADS.
- */
-SuiteData collectSuite(const SuiteProfile &suite,
-                       const CollectionConfig &config);
-
-/** Collect a single benchmark with the same protocol. */
-BenchmarkData collectBenchmark(const BenchmarkProfile &bench,
-                               const CollectionConfig &config);
 
 } // namespace wct
 

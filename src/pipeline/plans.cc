@@ -1,7 +1,9 @@
 #include "pipeline/plans.hh"
 
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "mtree/serialize.hh"
@@ -14,43 +16,105 @@ namespace wct::pipeline
 namespace
 {
 
-/** The chained stage keys of one suite under a protocol. */
-struct SuiteKeys
+/**
+ * One named plan: the suites it builds, in order, whether it renders
+ * each suite's profile and similarity tables, and whether it runs the
+ * four Section VI transfers over them. This table is the only place
+ * plan names are interpreted.
+ */
+struct PlanEntry
 {
-    std::uint64_t collect = 0;
-    std::uint64_t train = 0;
-    std::uint64_t profile = 0;
-    std::uint64_t similarity = 0;
+    const char *name;
+    std::vector<const SuiteProfile &(*)()> suites;
+    bool tables;
+    bool transfers;
 };
 
-SuiteKeys
-suiteKeys(const SuiteProfile &suite, const PlanProtocol &protocol)
+const PlanEntry kPlans[] = {
+    {"cpu2006", {specCpu2006}, true, false},
+    {"omp2001", {specOmp2001}, true, false},
+    {"transfer", {specCpu2006, specOmp2001}, false, true},
+    {"full", {specCpu2006, specOmp2001}, true, true},
+};
+
+const PlanEntry *
+findPlan(const std::string &name)
 {
-    SuiteKeys keys;
-    keys.collect = collectStageKey(suite, protocol.collection);
-    keys.train = trainStageKey(keys.collect, protocol.model);
-    keys.profile = profileStageKey(keys.train);
-    keys.similarity = similarityStageKey(keys.profile, {});
-    return keys;
+    for (const PlanEntry &plan : kPlans)
+        if (plan.name == name)
+            return &plan;
+    return nullptr;
 }
 
-/** One suite's chained keys and trained model. */
-struct SuiteBuild
+/** One suite of an expanded plan and the keys it collects and trains
+ * under. */
+struct SuiteStep
 {
-    SuiteKeys keys;
-    SuiteModel model;
+    const SuiteProfile *suite = nullptr;
+    std::uint64_t collectKey = 0;
+    std::uint64_t trainKey = 0;
 };
 
-/** Train one suite; `data` is collected only if training misses. */
-SuiteBuild
-buildSuite(Pipeline &pipe, const SuiteProfile &suite,
-           const PlanProtocol &protocol, const SuiteSource &data)
+/** One Section VI assessment: the model of suite `model` applied to
+ * the test set of suite `target` (indices into PlanSteps::suites). */
+struct TransferStep
 {
-    SuiteBuild build;
-    build.keys = suiteKeys(suite, protocol);
-    build.model = trainStage(pipe, suite.name, data, build.keys.collect,
-                             protocol.model);
-    return build;
+    std::size_t model = 0;
+    std::size_t target = 0;
+    TransferabilityConfig config;
+};
+
+/** What a plan runs at a protocol, in run order. */
+struct PlanSteps
+{
+    bool tables = false;
+    std::vector<SuiteStep> suites;
+    std::vector<TransferStep> transfers;
+};
+
+/** The dataset selector every plan transfer targets. */
+constexpr std::string_view kTransferTarget = "test";
+
+/**
+ * Expand a plan's table entry at a protocol, deriving each key it uses
+ * once. runPlan executes this expansion and planArtifacts lists it;
+ * fatal on an unknown plan name.
+ */
+PlanSteps
+expandPlan(const std::string &name, const PlanProtocol &protocol)
+{
+    const PlanEntry *entry = findPlan(name);
+    if (entry == nullptr)
+        wct_fatal("unknown plan '", name, "'");
+
+    PlanSteps steps;
+    steps.tables = entry->tables;
+    for (const auto suite : entry->suites) {
+        SuiteStep step;
+        step.suite = &suite();
+        step.collectKey =
+            collectStageKey(*step.suite, protocol.collection);
+        step.trainKey = trainStageKey(step.collectKey, protocol.model);
+        steps.suites.push_back(step);
+    }
+    if (!entry->transfers)
+        return steps;
+
+    // Each suite's model on its own test set first, then on the
+    // others': cpu->cpu, cpu->omp, omp->omp, omp->cpu.
+    const std::size_t n = steps.suites.size();
+    for (std::size_t m = 0; m < n; ++m)
+        for (std::size_t k = 0; k < n; ++k) {
+            TransferStep transfer;
+            transfer.model = m;
+            transfer.target = (m + k) % n;
+            transfer.config.modelName = steps.suites[m].suite->name;
+            transfer.config.targetName =
+                steps.suites[transfer.target].suite->name + ".";
+            transfer.config.targetName += kTransferTarget;
+            steps.transfers.push_back(std::move(transfer));
+        }
+    return steps;
 }
 
 /**
@@ -66,123 +130,6 @@ plannedSamples(const SuiteProfile &suite, const CollectionConfig &config)
         for (const ShardSpec &spec : shardPlan(bench, config))
             samples += spec.intervals;
     return samples;
-}
-
-/** The full single-suite plan: train, profile, similarity, and the
- * collection either of the first two needs. */
-SuiteBuild
-runSuitePlan(Pipeline &pipe, const SuiteProfile &suite,
-             const PlanProtocol &protocol, std::ostream &out)
-{
-    const SuiteSource data =
-        collectOnDemand(pipe, suite, protocol.collection);
-    SuiteBuild build = buildSuite(pipe, suite, protocol, data);
-    const ProfileTable table = profileStage(
-        pipe, suite.name, data, build.model.tree, build.keys.train);
-    const SimilarityMatrix sim =
-        similarityStage(pipe, table, build.keys.profile, {});
-
-    out << "== " << suite.name << " ==\n";
-    out << "benchmarks: " << suite.benchmarks.size()
-        << ", samples: " << plannedSamples(suite, protocol.collection)
-        << ", leaf models: " << build.model.tree.numLeaves()
-        << ", mean CPI: " << build.model.meanCpi << "\n\n";
-    out << table.render() << "\n";
-    out << sim.render() << "\n";
-    return build;
-}
-
-TransferabilityConfig
-transferConfig(const std::string &model_name,
-               const std::string &target_name)
-{
-    TransferabilityConfig config;
-    config.modelName = model_name;
-    config.targetName = target_name;
-    return config;
-}
-
-/** The four cross/self assessments of Section VI over both suites. */
-void
-runTransfers(Pipeline &pipe, const SuiteBuild &cpu,
-             const SuiteBuild &omp, std::ostream &out)
-{
-    const std::pair<const SuiteBuild *, const SuiteBuild *>
-        directions[] = {{&cpu, &cpu}, {&cpu, &omp}, {&omp, &omp},
-                        {&omp, &cpu}};
-    for (const auto &[model, target] : directions) {
-        const auto report = transferStage(
-            pipe, model->model, model->keys.train, target->model.test,
-            target->keys.train, "test",
-            transferConfig(model->model.suiteName,
-                           target->model.suiteName + ".test"));
-        out << report.render() << "\n";
-    }
-}
-
-/** Transfer keys without execution (for planArtifacts). */
-std::vector<ArtifactId>
-transferIds(const SuiteKeys &cpu, const SuiteKeys &omp)
-{
-    const SuiteProfile &cpu_suite = specCpu2006();
-    const SuiteProfile &omp_suite = specOmp2001();
-    const auto id = [](std::uint64_t model_key,
-                       std::uint64_t target_key,
-                       const std::string &model_name,
-                       const std::string &target_name) {
-        return ArtifactId{
-            "transfer",
-            transferStageKey(model_key, target_key, "test",
-                             transferConfig(model_name,
-                                            target_name + ".test"))};
-    };
-    return {
-        id(cpu.train, cpu.train, cpu_suite.name, cpu_suite.name),
-        id(cpu.train, omp.train, cpu_suite.name, omp_suite.name),
-        id(omp.train, omp.train, omp_suite.name, omp_suite.name),
-        id(omp.train, cpu.train, omp_suite.name, cpu_suite.name),
-    };
-}
-
-void
-appendSuiteIds(std::vector<ArtifactId> &ids, const SuiteProfile &suite,
-               const PlanProtocol &protocol, const SuiteKeys &keys,
-               bool full)
-{
-    // Collection artifacts are per-shard: the shard plan is a pure
-    // function of the protocol, so the expansion enumerates without
-    // collecting and `wct cache gc` liveness stays exact.
-    for (ArtifactId &id :
-         collectShardArtifacts(suite, protocol.collection))
-        ids.push_back(std::move(id));
-    ids.push_back({"train", keys.train});
-    if (full) {
-        ids.push_back({"profile", keys.profile});
-        ids.push_back({"similarity", keys.similarity});
-    }
-}
-
-/**
- * The ("mtree", content key) ids of the trees whose train artifacts
- * exist in the store: the content key is a hash of the serialized
- * tree, so it is only discoverable by decoding the train artifact.
- */
-void
-appendModelIds(std::vector<ArtifactId> &ids, const ArtifactStore &store,
-               const std::vector<std::uint64_t> &train_keys)
-{
-    for (std::uint64_t train_key : train_keys) {
-        const auto payload = store.load({"train", train_key});
-        if (!payload)
-            continue;
-        const auto model = decodeSuiteModel(*payload);
-        if (!model)
-            continue;
-        std::ostringstream text;
-        writeModelTree(model->tree, text);
-        ids.push_back(
-            {"mtree", modelTreeContentKey(std::move(text).str())});
-    }
 }
 
 } // namespace
@@ -214,79 +161,100 @@ standardModelConfig()
 std::vector<std::string>
 planNames()
 {
-    return {"cpu2006", "omp2001", "transfer", "full"};
+    std::vector<std::string> names;
+    for (const PlanEntry &plan : kPlans)
+        names.push_back(plan.name);
+    return names;
 }
 
 bool
 isPlanName(const std::string &name)
 {
-    for (const std::string &known : planNames())
-        if (known == name)
-            return true;
-    return false;
+    return findPlan(name) != nullptr;
 }
 
 void
 runPlan(Pipeline &pipe, const std::string &name,
         const PlanProtocol &protocol, std::ostream &out)
 {
-    if (name == "cpu2006" || name == "omp2001") {
-        runSuitePlan(pipe, suiteByName(name), protocol, out);
-        return;
+    const PlanSteps plan = expandPlan(name, protocol);
+
+    // Each suite is built once: its model feeds the transfers too.
+    // Its samples live only through its own iteration, so one suite's
+    // SuiteData is freed before the next suite collects.
+    std::vector<SuiteModel> models;
+    for (const SuiteStep &step : plan.suites) {
+        const SuiteProfile &suite = *step.suite;
+        const SuiteSource data =
+            collectOnDemand(pipe, suite, protocol.collection);
+        const SuiteModel &model = models.emplace_back(trainStage(
+            pipe, suite.name, data, step.collectKey, protocol.model));
+        if (!plan.tables)
+            continue;
+        const ProfileTable table = profileStage(
+            pipe, suite.name, data, model.tree, step.trainKey);
+        const SimilarityMatrix sim = similarityStage(
+            pipe, table, profileStageKey(step.trainKey), {});
+
+        out << "== " << suite.name << " ==\n";
+        out << "benchmarks: " << suite.benchmarks.size()
+            << ", samples: " << plannedSamples(suite, protocol.collection)
+            << ", leaf models: " << model.tree.numLeaves()
+            << ", mean CPI: " << model.meanCpi << "\n\n";
+        out << table.render() << "\n";
+        out << sim.render() << "\n";
     }
-    if (name == "transfer") {
-        const auto build = [&](const SuiteProfile &suite) {
-            return buildSuite(
-                pipe, suite, protocol,
-                collectOnDemand(pipe, suite, protocol.collection));
-        };
-        const SuiteBuild cpu = build(specCpu2006());
-        const SuiteBuild omp = build(specOmp2001());
-        runTransfers(pipe, cpu, omp, out);
-        return;
+
+    for (const TransferStep &transfer : plan.transfers) {
+        const SuiteModel &model = models[transfer.model];
+        const auto report = transferStage(
+            pipe, model, plan.suites[transfer.model].trainKey,
+            models[transfer.target].test,
+            plan.suites[transfer.target].trainKey, kTransferTarget,
+            transfer.config);
+        out << report.render() << "\n";
     }
-    if (name == "full") {
-        // Each suite is built once: its plan's model and keys feed
-        // the transfers too.
-        const SuiteBuild cpu =
-            runSuitePlan(pipe, specCpu2006(), protocol, out);
-        const SuiteBuild omp =
-            runSuitePlan(pipe, specOmp2001(), protocol, out);
-        runTransfers(pipe, cpu, omp, out);
-        return;
-    }
-    wct_fatal("unknown plan '", name, "'");
 }
 
 std::vector<ArtifactId>
 planArtifacts(const std::string &name, const PlanProtocol &protocol,
               const ArtifactStore &store)
 {
-    const SuiteKeys cpu = suiteKeys(specCpu2006(), protocol);
-    const SuiteKeys omp = suiteKeys(specOmp2001(), protocol);
+    const PlanSteps plan = expandPlan(name, protocol);
 
     std::vector<ArtifactId> ids;
-    std::vector<std::uint64_t> train_keys;
-    if (name == "cpu2006" || name == "omp2001") {
-        const SuiteKeys &keys = name == "cpu2006" ? cpu : omp;
-        appendSuiteIds(ids, suiteByName(name), protocol, keys, true);
-        train_keys = {keys.train};
-    } else if (name == "transfer") {
-        appendSuiteIds(ids, specCpu2006(), protocol, cpu, false);
-        appendSuiteIds(ids, specOmp2001(), protocol, omp, false);
-        for (ArtifactId &id : transferIds(cpu, omp))
+    for (const SuiteStep &step : plan.suites) {
+        for (ArtifactId &id :
+             collectShardArtifacts(*step.suite, protocol.collection))
             ids.push_back(std::move(id));
-        train_keys = {cpu.train, omp.train};
-    } else if (name == "full") {
-        appendSuiteIds(ids, specCpu2006(), protocol, cpu, true);
-        appendSuiteIds(ids, specOmp2001(), protocol, omp, true);
-        for (ArtifactId &id : transferIds(cpu, omp))
-            ids.push_back(std::move(id));
-        train_keys = {cpu.train, omp.train};
-    } else {
-        wct_fatal("unknown plan '", name, "'");
+        ids.push_back({"train", step.trainKey});
+        if (plan.tables) {
+            const std::uint64_t profile = profileStageKey(step.trainKey);
+            ids.push_back({"profile", profile});
+            ids.push_back({"similarity", similarityStageKey(profile, {})});
+        }
     }
-    appendModelIds(ids, store, train_keys);
+    for (const TransferStep &transfer : plan.transfers)
+        ids.push_back(
+            {"transfer",
+             transferStageKey(plan.suites[transfer.model].trainKey,
+                              plan.suites[transfer.target].trainKey,
+                              kTransferTarget, transfer.config)});
+
+    // The ("mtree", content key) ids of the trees whose train
+    // artifacts exist: the content key hashes the serialized tree, so
+    // only decoding the train artifact discovers it.
+    for (const SuiteStep &step : plan.suites) {
+        const auto payload = store.load({"train", step.trainKey});
+        const auto model =
+            payload ? decodeSuiteModel(*payload) : std::nullopt;
+        if (!model)
+            continue;
+        std::ostringstream text;
+        writeModelTree(model->tree, text);
+        ids.push_back(
+            {"mtree", modelTreeContentKey(std::move(text).str())});
+    }
     return ids;
 }
 

@@ -1,10 +1,14 @@
 /**
  * @file
  * Named end-to-end plans: the fixed stage graphs behind `wct run` and
- * the experiment-reproduction binaries (bench/). A plan is the unit
- * the artifact store reasons about — `wct cache gc` keeps exactly the
- * artifacts some standard plan would touch, which planArtifacts()
- * computes from chained stage keys without executing anything.
+ * the experiment-reproduction binaries (bench/). One table declares
+ * every plan — its suites, whether it renders their profile and
+ * similarity tables, whether it runs the four Section VI transfers —
+ * and one expansion turns an entry into the stages it runs with their
+ * chained keys. runPlan() executes that expansion; planArtifacts()
+ * lists it without executing anything. A plan is the unit the
+ * artifact store reasons about: `wct cache gc` keeps exactly the
+ * artifacts some standard plan would touch.
  *
  * The standard protocol (collection scale, tree hyper-parameters)
  * lives here so the CLI, the table/figure generators, and the perf
@@ -61,10 +65,11 @@ void runPlan(Pipeline &pipe, const std::string &name,
              const PlanProtocol &protocol, std::ostream &out);
 
 /**
- * Every artifact id a plan run would read or write, including the
- * ("mtree", content key) entries for models whose train artifacts are
- * already in `store` (content keys are only knowable from the trained
- * trees). Fatal on an unknown plan name.
+ * Every artifact id a plan run would read or write, in run order: the
+ * plan's expansion, each suite's collection shards, and the ("mtree",
+ * content key) entries for models whose train artifacts are already
+ * in `store` (content keys are only knowable from the trained trees).
+ * Fatal on an unknown plan name.
  */
 std::vector<ArtifactId> planArtifacts(const std::string &name,
                                       const PlanProtocol &protocol,

@@ -166,6 +166,37 @@ parseProfileRow(ByteParser &parser, BenchmarkProfileRow &row)
     return parser.getDouble(row.meanCpi);
 }
 
+/** One (benchmark, shard) collection task and its artifact id. */
+struct ShardTask
+{
+    std::size_t bench = 0; ///< index into SuiteProfile::benchmarks
+    std::size_t shard = 0;
+    ShardSpec spec;
+    ArtifactId id;
+};
+
+/**
+ * A suite's shard tasks in task order: benchmarks in suite order, each
+ * benchmark's shards in plan order. collectStage runs exactly this
+ * list and collectShardArtifacts returns its ids, so gc keeps exactly
+ * the shards collection reads and writes.
+ */
+std::vector<ShardTask>
+shardTasks(const SuiteProfile &suite, const CollectionConfig &config)
+{
+    std::vector<ShardTask> tasks;
+    for (std::size_t i = 0; i < suite.benchmarks.size(); ++i) {
+        const BenchmarkProfile &bench = suite.benchmarks[i];
+        const std::vector<ShardSpec> plan = shardPlan(bench, config);
+        for (std::size_t s = 0; s < plan.size(); ++s)
+            tasks.push_back(
+                {i, s, plan[s],
+                 {"collect-shard",
+                  collectShardKey(bench, config, s, plan[s])}});
+    }
+    return tasks;
+}
+
 } // namespace
 
 void
@@ -266,13 +297,8 @@ collectShardArtifacts(const SuiteProfile &suite,
                       const CollectionConfig &config)
 {
     std::vector<ArtifactId> ids;
-    for (const BenchmarkProfile &bench : suite.benchmarks) {
-        const std::vector<ShardSpec> plan = shardPlan(bench, config);
-        for (std::size_t s = 0; s < plan.size(); ++s)
-            ids.push_back(
-                {"collect-shard",
-                 collectShardKey(bench, config, s, plan[s])});
-    }
+    for (ShardTask &task : shardTasks(suite, config))
+        ids.push_back(std::move(task.id));
     return ids;
 }
 
@@ -575,13 +601,6 @@ SuiteData
 collectStage(Pipeline &pipe, const SuiteProfile &suite,
              const CollectionConfig &config)
 {
-    struct ShardTask
-    {
-        std::size_t bench = 0;
-        std::size_t shard = 0;
-        ShardSpec spec;
-        StageRun run;
-    };
     const auto msSince =
         [](std::chrono::steady_clock::time_point start) {
             return std::chrono::duration<double, std::milli>(
@@ -593,28 +612,9 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
     // collects on demand (a train or profile miss).
     const Pipeline::StageClock clock(pipe);
 
-    const std::size_t n = suite.benchmarks.size();
-    std::vector<ShardTask> tasks;
-    std::vector<std::vector<Dataset>> parts(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::vector<ShardSpec> plan =
-            shardPlan(suite.benchmarks[i], config);
-        parts[i].resize(plan.size());
-        for (std::size_t s = 0; s < plan.size(); ++s) {
-            ShardTask task;
-            task.bench = i;
-            task.shard = s;
-            task.spec = plan[s];
-            task.run.label = "collect-shard:" +
-                             suite.benchmarks[i].name + "/" +
-                             std::to_string(s);
-            task.run.id = ArtifactId{
-                "collect-shard",
-                collectShardKey(suite.benchmarks[i], config, s,
-                                plan[s])};
-            tasks.push_back(std::move(task));
-        }
-    }
+    const std::vector<ShardTask> tasks = shardTasks(suite, config);
+    std::vector<StageRun> runs(tasks.size());
+    std::vector<Dataset> parts(tasks.size());
 
     // Serial store pass first: hits decode in deterministic order
     // (no concurrent remote fetches racing on one connection), and
@@ -624,60 +624,71 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
     const std::vector<std::string> columns = metricColumnNames();
     std::vector<std::size_t> misses;
     for (std::size_t t = 0; t < tasks.size(); ++t) {
-        ShardTask &task = tasks[t];
+        const ShardTask &task = tasks[t];
+        StageRun &run = runs[t];
+        run.label = "collect-shard:" + suite.benchmarks[task.bench].name +
+                    "/" + std::to_string(task.shard);
+        run.id = task.id;
         const auto start = std::chrono::steady_clock::now();
-        if (auto payload = pipe.store().load(task.run.id)) {
+        if (auto payload = pipe.store().load(task.id)) {
             auto samples = decodeShardSamples(*payload);
             if (samples && samples->columnNames() == columns &&
                 samples->numRows() == task.spec.intervals) {
-                task.run.cached = true;
-                task.run.payloadBytes = payload->size();
-                parts[task.bench][task.shard] = std::move(*samples);
+                run.cached = true;
+                run.payloadBytes = payload->size();
+                parts[t] = std::move(*samples);
             } else {
-                wct_warn("artifact '", task.run.id.fileName(),
+                wct_warn("artifact '", task.id.fileName(),
                          "' failed to decode or does not match its "
                          "shard; recomputing shard");
             }
         }
-        task.run.ms = msSince(start);
-        if (!task.run.cached)
+        run.ms = msSince(start);
+        if (!run.cached)
             misses.push_back(t);
     }
 
     // Misses compute and publish over the pool into pre-assigned
     // slots. Both store backends are thread-safe writers (atomic
-    // rename locally, a mutex-serialized connection remotely).
+    // rename locally, a mutex-serialized connection remotely); a
+    // disabled store drops the payload.
     parallelFor(misses.size(), [&](std::size_t m) {
-        ShardTask &task = tasks[misses[m]];
+        const std::size_t t = misses[m];
+        const ShardTask &task = tasks[t];
         const auto start = std::chrono::steady_clock::now();
-        Dataset samples = collectShard(suite.benchmarks[task.bench],
-                                       config, task.shard, task.spec);
-        const std::string payload = encodeShardSamples(samples);
-        task.run.payloadBytes = payload.size();
-        pipe.store().store(task.run.id, payload);
-        parts[task.bench][task.shard] = std::move(samples);
-        task.run.ms += msSince(start);
+        parts[t] = collectShard(suite.benchmarks[task.bench], config,
+                                task.shard, task.spec);
+        const std::string payload = encodeShardSamples(parts[t]);
+        runs[t].payloadBytes = payload.size();
+        pipe.store().store(task.id, payload);
+        runs[t].ms += msSince(start);
     });
 
-    for (ShardTask &task : tasks)
-        pipe.record(std::move(task.run));
+    for (StageRun &run : runs)
+        pipe.record(std::move(run));
 
-    // Fixed-order stitch: byte-identical for any thread count and
-    // any warm/cold mix.
+    // Fixed-order stitch, each benchmark's shards appended to its
+    // first: byte-identical for any thread count and any warm/cold
+    // mix.
     SuiteData out;
     out.suiteName = suite.name;
-    out.benchmarks.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        BenchmarkData &bench = out.benchmarks[i];
-        bench.name = suite.benchmarks[i].name;
-        bench.instructionWeight =
-            suite.benchmarks[i].instructionWeight;
-        Dataset samples = std::move(parts[i].front());
-        for (std::size_t s = 1; s < parts[i].size(); ++s)
-            samples.append(parts[i][s]);
-        bench.samples = std::move(samples);
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        if (tasks[t].shard > 0) {
+            out.benchmarks.back().samples.append(parts[t]);
+            continue;
+        }
+        const BenchmarkProfile &bench = suite.benchmarks[tasks[t].bench];
+        out.benchmarks.push_back(
+            {bench.name, bench.instructionWeight, std::move(parts[t])});
     }
     return out;
+}
+
+SuiteData
+collectSuite(const SuiteProfile &suite, const CollectionConfig &config)
+{
+    Pipeline pipe;
+    return collectStage(pipe, suite, config);
 }
 
 SuiteSource

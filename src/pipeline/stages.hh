@@ -97,10 +97,10 @@ std::uint64_t collectShardKey(const BenchmarkProfile &bench,
 
 /**
  * Every ("collect-shard", key) artifact a suite collection reads or
- * writes, in deterministic task order. `wct cache gc` liveness and
- * the plan expansion (pipeline/plans.cc) enumerate through this —
- * the shard plan is a pure function of the config, so no collection
- * is executed.
+ * writes, in deterministic task order: the ids of the very task list
+ * collectStage runs. `wct cache gc` liveness (planArtifacts) lists
+ * them without collecting anything — the shard plan is a pure
+ * function of the config.
  */
 std::vector<ArtifactId>
 collectShardArtifacts(const SuiteProfile &suite,
@@ -177,6 +177,16 @@ using SuiteSource = std::function<const SuiteData &()>;
  * at shard granularity. Records one StageRun per shard.
  */
 SuiteData collectStage(Pipeline &pipe, const SuiteProfile &suite,
+                       const CollectionConfig &config);
+
+/**
+ * Collect a suite without a store: collectStage over a disabled
+ * store, so every shard computes. The result is a pure function of
+ * (suite, config), byte-identical for any WCT_THREADS; stream seeds
+ * derive from benchmark names, so a suite filtered down to one
+ * benchmark yields exactly that benchmark's rows of the full suite.
+ */
+SuiteData collectSuite(const SuiteProfile &suite,
                        const CollectionConfig &config);
 
 /**

@@ -12,6 +12,8 @@
 #include <sstream>
 
 #include "cli/cli.hh"
+#include "pipeline/plans.hh"
+#include "workload/suites.hh"
 
 namespace wct
 {
@@ -180,6 +182,32 @@ TEST(CliTest, CollectCacheDirWarmRunIsByteIdentical)
         slurp(dir.file("cold") + "/429.mcf.csv");
     EXPECT_FALSE(cold_csv.empty());
     EXPECT_EQ(slurp(dir.file("warm") + "/429.mcf.csv"), cold_csv);
+}
+
+TEST(CliTest, CollectDefaultsToTheStandardProtocol)
+{
+    // Without --intervals, collect samples at the protocol `wct run`
+    // uses, so a plan run warms the single-step command: the one
+    // artifact written is the shard a plan at these overrides reads.
+    TempDir dir("wct_cli_standard");
+    EXPECT_EQ(run({"collect", "--suite", "cpu2006", "--benchmark",
+                   "429.mcf", "--out", dir.file("out"), "--cache-dir",
+                   dir.file("cache"), "--interval-length", "1024",
+                   "--warmup", "50000"}),
+              0);
+
+    CollectionConfig config = pipeline::standardCollection();
+    config.intervalInstructions = 1024;
+    config.warmupInstructions = 50'000;
+    SuiteProfile suite;
+    suite.name = specCpu2006().name;
+    suite.benchmarks = {specCpu2006().benchmark("429.mcf")};
+    const auto expected = pipeline::collectShardArtifacts(suite, config);
+    ASSERT_EQ(expected.size(), 1u);
+    std::vector<std::string> cached;
+    for (const auto &entry : fs::directory_iterator(dir.file("cache")))
+        cached.push_back(entry.path().filename().string());
+    EXPECT_EQ(cached, std::vector<std::string>{expected[0].fileName()});
 }
 
 TEST(CliTest, CollectNoCacheBypassesTheCache)

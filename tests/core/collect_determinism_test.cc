@@ -2,7 +2,7 @@
  * @file
  * Determinism contract of the parallel collection pipeline: results
  * are a pure function of (suite, config) — independent of thread
- * count, suite filtering, and the legacy sequential path.
+ * count and suite filtering, and equal to the sequential reference.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include "core/collect.hh"
 #include "core/suite_io.hh"
 #include "data/binary_io.hh"
+#include "pipeline/stages.hh"
 #include "pmu/collector.hh"
 #include "uarch/core.hh"
 #include "util/rng.hh"
@@ -82,10 +83,10 @@ TEST(CollectDeterminismTest, ByteIdenticalAcrossThreadCounts)
 
     ThreadPool::resetGlobalForTest(0); // inline, no workers
     const std::string inline_bytes =
-        serialize(collectSuite(suite, config));
+        serialize(pipeline::collectSuite(suite, config));
     for (const std::size_t workers : {1u, 4u, 8u}) {
         ThreadPool::resetGlobalForTest(workers);
-        EXPECT_EQ(serialize(collectSuite(suite, config)),
+        EXPECT_EQ(serialize(pipeline::collectSuite(suite, config)),
                   inline_bytes)
             << workers << " workers";
     }
@@ -95,27 +96,26 @@ TEST(CollectDeterminismTest, FilteredSuiteReproducesFullSuite)
 {
     // Stream seeds derive from benchmark names, so collecting a
     // one-benchmark filtered suite must reproduce that benchmark's
-    // slice of the full-suite run exactly. (With positional salts —
-    // the old bug — mini.beta would get salt 0 instead of salt 1
-    // when collected alone.)
+    // slice of the full-suite run exactly, sharded or not. (With
+    // positional salts — the old bug — mini.beta would get salt 0
+    // instead of salt 1 when collected alone.)
     const SuiteProfile full = miniSuite();
-    const CollectionConfig config = miniConfig();
-    const SuiteData all = collectSuite(full, config);
-
-    SuiteProfile filtered;
-    filtered.name = full.name;
-    filtered.benchmarks = {full.benchmarks[1]};
-    const SuiteData one = collectSuite(filtered, config);
-
-    ASSERT_EQ(one.benchmarks.size(), 1u);
-    const Dataset &got = one.benchmarks[0].samples;
-    const Dataset &expect = all.benchmark("mini.beta").samples;
-    ASSERT_EQ(got.numRows(), expect.numRows());
-    for (std::size_t r = 0; r < expect.numRows(); ++r) {
-        const auto e = expect.row(r);
-        const auto g = got.row(r);
-        for (std::size_t c = 0; c < expect.numColumns(); ++c)
-            EXPECT_EQ(g[c], e[c]) << r << "," << c;
+    for (const std::size_t shards : {1u, 3u}) {
+        CollectionConfig config = miniConfig();
+        config.shards = shards;
+        const SuiteData all = pipeline::collectSuite(full, config);
+        for (const BenchmarkProfile &bench : full.benchmarks) {
+            SCOPED_TRACE(bench.name + ", " + std::to_string(shards) +
+                         " shards");
+            SuiteProfile filtered;
+            filtered.name = full.name;
+            filtered.benchmarks = {bench};
+            SuiteData expect;
+            expect.suiteName = full.name;
+            expect.benchmarks = {all.benchmark(bench.name)};
+            EXPECT_EQ(serialize(pipeline::collectSuite(filtered, config)),
+                      serialize(expect));
+        }
     }
 }
 
@@ -125,7 +125,7 @@ TEST(CollectDeterminismTest, SingleShardMatchesSequentialReference)
     // exactly: one machine, one warmup, one uninterrupted stream.
     const SuiteProfile suite = miniSuite();
     const CollectionConfig config = miniConfig();
-    const SuiteData collected = collectSuite(suite, config);
+    const SuiteData collected = pipeline::collectSuite(suite, config);
 
     for (const BenchmarkProfile &bench : suite.benchmarks) {
         CoreModel core(config.machine);
@@ -158,30 +158,12 @@ TEST(CollectDeterminismTest, ShardCountPreservesSampleBudget)
     const SuiteProfile suite = miniSuite();
     CollectionConfig config = miniConfig();
     const std::size_t expected =
-        collectSuite(suite, config).totalSamples();
+        pipeline::collectSuite(suite, config).totalSamples();
     for (const std::size_t shards : {2u, 4u, 64u}) {
         config.shards = shards;
-        EXPECT_EQ(collectSuite(suite, config).totalSamples(),
+        EXPECT_EQ(pipeline::collectSuite(suite, config).totalSamples(),
                   expected)
             << shards << " shards";
-    }
-}
-
-TEST(CollectDeterminismTest, CollectBenchmarkAgreesWithSuitePath)
-{
-    const SuiteProfile suite = miniSuite();
-    CollectionConfig config = miniConfig();
-    config.shards = 3;
-    const SuiteData via_suite = collectSuite(suite, config);
-    const BenchmarkData direct =
-        collectBenchmark(suite.benchmarks[2], config);
-    const Dataset &expect = via_suite.benchmark("mini.gamma").samples;
-    ASSERT_EQ(direct.samples.numRows(), expect.numRows());
-    for (std::size_t r = 0; r < expect.numRows(); ++r) {
-        const auto e = expect.row(r);
-        const auto g = direct.samples.row(r);
-        for (std::size_t c = 0; c < expect.numColumns(); ++c)
-            EXPECT_EQ(g[c], e[c]) << r << "," << c;
     }
 }
 

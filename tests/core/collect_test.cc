@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/collect.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -44,7 +45,7 @@ fastConfig()
 
 TEST(CollectTest, SampleCountsProportionalToWeight)
 {
-    const SuiteData data = collectSuite(miniSuite(), fastConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), fastConfig());
     EXPECT_EQ(data.suiteName, "mini");
     ASSERT_EQ(data.benchmarks.size(), 2u);
     EXPECT_EQ(data.benchmark("light").samples.numRows(), 20u);
@@ -54,7 +55,7 @@ TEST(CollectTest, SampleCountsProportionalToWeight)
 
 TEST(CollectTest, PooledConcatenatesEverything)
 {
-    const SuiteData data = collectSuite(miniSuite(), fastConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), fastConfig());
     const Dataset pooled = data.pooled();
     EXPECT_EQ(pooled.numRows(), 60u);
     EXPECT_EQ(pooled.columnNames(), metricColumnNames());
@@ -62,8 +63,8 @@ TEST(CollectTest, PooledConcatenatesEverything)
 
 TEST(CollectTest, DeterministicUnderSeed)
 {
-    const SuiteData a = collectSuite(miniSuite(), fastConfig());
-    const SuiteData b = collectSuite(miniSuite(), fastConfig());
+    const SuiteData a = pipeline::collectSuite(miniSuite(), fastConfig());
+    const SuiteData b = pipeline::collectSuite(miniSuite(), fastConfig());
     const Dataset pa = a.pooled();
     const Dataset pb = b.pooled();
     ASSERT_EQ(pa.numRows(), pb.numRows());
@@ -75,9 +76,9 @@ TEST(CollectTest, DeterministicUnderSeed)
 TEST(CollectTest, SeedChangesData)
 {
     CollectionConfig config = fastConfig();
-    const SuiteData a = collectSuite(miniSuite(), config);
+    const SuiteData a = pipeline::collectSuite(miniSuite(), config);
     config.seed = 999;
-    const SuiteData b = collectSuite(miniSuite(), config);
+    const SuiteData b = pipeline::collectSuite(miniSuite(), config);
     const Dataset pa = a.pooled();
     const Dataset pb = b.pooled();
     bool any_diff = false;
@@ -88,7 +89,7 @@ TEST(CollectTest, SeedChangesData)
 
 TEST(CollectTest, HeavierFootprintCostsMoreCpi)
 {
-    const SuiteData data = collectSuite(miniSuite(), fastConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), fastConfig());
     const auto light = data.benchmark("light").samples.summarize(0);
     const auto heavy = data.benchmark("heavy").samples.summarize(0);
     EXPECT_GT(heavy.mean, light.mean);
@@ -96,7 +97,7 @@ TEST(CollectTest, HeavierFootprintCostsMoreCpi)
 
 TEST(CollectTest, CpiColumnPositiveEverywhere)
 {
-    const SuiteData data = collectSuite(miniSuite(), fastConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), fastConfig());
     const Dataset pooled = data.pooled();
     const std::size_t cpi = pooled.columnIndex("CPI");
     for (std::size_t r = 0; r < pooled.numRows(); ++r)
@@ -105,7 +106,7 @@ TEST(CollectTest, CpiColumnPositiveEverywhere)
 
 TEST(CollectTest, MissingBenchmarkLookupIsFatal)
 {
-    const SuiteData data = collectSuite(miniSuite(), fastConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), fastConfig());
     EXPECT_EXIT(data.benchmark("nope"), ::testing::ExitedWithCode(1),
                 "no collected data");
 }
@@ -115,7 +116,7 @@ TEST(CollectTest, AtLeastOneIntervalPerBenchmark)
     SuiteProfile suite = miniSuite();
     suite.benchmarks[0].instructionWeight = 0.001;
     CollectionConfig config = fastConfig();
-    const SuiteData data = collectSuite(suite, config);
+    const SuiteData data = pipeline::collectSuite(suite, config);
     EXPECT_GE(data.benchmark("light").samples.numRows(), 1u);
 }
 

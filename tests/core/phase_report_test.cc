@@ -10,6 +10,7 @@
 #include "core/collect.hh"
 #include "core/phase_report.hh"
 #include "core/suite_model.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -68,7 +69,7 @@ struct Fixture
         config.baseIntervals = 400;
         config.warmupInstructions = 100000;
         config.multiplexed = false;
-        data = collectSuite(suite, config);
+        data = pipeline::collectSuite(suite, config);
         SuiteModelConfig mconfig;
         mconfig.trainFraction = 0.5;
         mconfig.tree.minLeafInstances = 30;

@@ -11,6 +11,7 @@
 #include "core/profile_table.hh"
 #include "core/similarity.hh"
 #include "core/suite_model.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -56,7 +57,7 @@ struct Fixture
         config.intervalInstructions = 512;
         config.baseIntervals = 150;
         config.warmupInstructions = 20000;
-        data = collectSuite(threeBench(), config);
+        data = pipeline::collectSuite(threeBench(), config);
 
         SuiteModelConfig mconfig;
         mconfig.trainFraction = 0.5;

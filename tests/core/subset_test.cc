@@ -9,6 +9,7 @@
 
 #include "core/subset.hh"
 #include "core/suite_model.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -71,7 +72,7 @@ struct Fixture
         config.intervalInstructions = 2048;
         config.baseIntervals = 150;
         config.warmupInstructions = 60000;
-        return collectSuite(redundantSuite(), config);
+        return pipeline::collectSuite(redundantSuite(), config);
     }
 
     static SuiteModel

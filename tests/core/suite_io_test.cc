@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "core/suite_io.hh"
+#include "pipeline/stages.hh"
 
 namespace wct
 {
@@ -59,7 +60,7 @@ deserialize(const std::string &bytes)
 
 TEST(SuiteIoTest, RoundTripIsByteIdentical)
 {
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), miniConfig());
     const std::string bytes = serialize(data);
     const auto loaded = deserialize(bytes);
     ASSERT_TRUE(loaded.has_value());
@@ -72,7 +73,7 @@ TEST(SuiteIoTest, RoundTripIsByteIdentical)
 
 TEST(SuiteIoTest, CorruptPayloadRejected)
 {
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), miniConfig());
     std::string bytes = serialize(data);
     bytes[bytes.size() / 2] ^= 0x04;
     EXPECT_FALSE(deserialize(bytes).has_value());
@@ -80,7 +81,7 @@ TEST(SuiteIoTest, CorruptPayloadRejected)
 
 TEST(SuiteIoTest, VersionMismatchRejected)
 {
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), miniConfig());
     std::string bytes = serialize(data);
     bytes[8] ^= 0x01; // LSB of the little-endian format version
     EXPECT_FALSE(deserialize(bytes).has_value());
@@ -88,7 +89,7 @@ TEST(SuiteIoTest, VersionMismatchRejected)
 
 TEST(SuiteIoTest, TruncationRejected)
 {
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), miniConfig());
     const std::string bytes = serialize(data);
     for (const std::size_t keep :
          {std::size_t{0}, std::size_t{4}, bytes.size() / 2,
@@ -123,7 +124,7 @@ TEST(SuiteIoTest, OversizedClaimRejected)
 
 TEST(SuiteIoTest, EveryStrictPrefixRejected)
 {
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SuiteData data = pipeline::collectSuite(miniSuite(), miniConfig());
     const std::string bytes = serialize(data);
     for (std::size_t keep = 0; keep < bytes.size(); ++keep)
         EXPECT_FALSE(deserialize(bytes.substr(0, keep)).has_value())

@@ -9,6 +9,7 @@
 
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -71,11 +72,11 @@ struct Fixture
         SuiteModelConfig mconfig;
         mconfig.trainFraction = 0.10;
 
-        compute = buildSuiteModel(collectSuite(computeSuite(), config),
-                                  mconfig);
+        compute = buildSuiteModel(
+            pipeline::collectSuite(computeSuite(), config), mconfig);
         config.seed = 0xabcd;
-        memory = buildSuiteModel(collectSuite(memorySuite(), config),
-                                 mconfig);
+        memory = buildSuiteModel(
+            pipeline::collectSuite(memorySuite(), config), mconfig);
     }
 };
 

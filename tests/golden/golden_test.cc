@@ -25,6 +25,7 @@
 #include "core/similarity.hh"
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
+#include "pipeline/stages.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -98,13 +99,13 @@ struct Fixture
 
         // Extremes plus the compute cluster: the subset keeps every
         // qualitative contrast of Tables II/III at toy scale.
-        cpu_data = collectSuite(
+        cpu_data = pipeline::collectSuite(
             subsetSuite(specCpu2006(), "cpu2006-mini",
                         {"429.mcf", "444.namd", "456.hmmer",
                          "459.GemsFDTD", "470.lbm"}),
             config);
         config.seed = 0x0317;
-        omp_data = collectSuite(
+        omp_data = pipeline::collectSuite(
             subsetSuite(specOmp2001(), "omp2001-mini",
                         {"330.art_m", "328.fma3d_m", "318.galgel_m"}),
             config);

@@ -14,6 +14,7 @@
 #include "core/profile_table.hh"
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
+#include "pipeline/stages.hh"
 #include "stats/metrics.hh"
 #include "workload/suites.hh"
 
@@ -40,9 +41,9 @@ struct Fixture
         // shape (e.g., which variable wins the OMP tree root).
         config.multiplexed = true;
 
-        cpu_data = collectSuite(specCpu2006(), config);
+        cpu_data = pipeline::collectSuite(specCpu2006(), config);
         config.seed = 0x0317;
-        omp_data = collectSuite(specOmp2001(), config);
+        omp_data = pipeline::collectSuite(specOmp2001(), config);
 
         SuiteModelConfig mconfig;
         mconfig.trainFraction = 0.25;

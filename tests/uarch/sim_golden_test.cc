@@ -16,6 +16,7 @@
 #include "core/collect.hh"
 #include "core/suite_io.hh"
 #include "data/binary_io.hh"
+#include "pipeline/stages.hh"
 #include "uarch/core.hh"
 #include "workload/source.hh"
 #include "workload/suites.hh"
@@ -42,7 +43,8 @@ std::uint64_t
 suiteDigest(const SuiteProfile &suite, const CoreConfig &machine)
 {
     std::ostringstream bytes;
-    writeSuiteData(bytes, collectSuite(suite, reducedProtocol(machine)));
+    writeSuiteData(bytes,
+                   pipeline::collectSuite(suite, reducedProtocol(machine)));
     return fnv1a64(bytes.str());
 }
 
