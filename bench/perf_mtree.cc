@@ -1,18 +1,17 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the modeling stack: tree
- * training across sample counts and engines, prediction and
- * classification throughput, OLS fitting, and the hypothesis tests.
- *
- * Besides the usual google-benchmark CLI, `perf_mtree --smoke` runs a
- * fixed-scale comparison of the three tree-building engines (Serial /
- * Presorted / Parallel) under two configs — the growth phase alone
- * (constant leaves, no prune/smooth: the code the presorted path
- * replaced) and the full default pipeline — checks that all engines
- * serialize byte-identically in both, and writes BENCH_mtree.json:
+ * Perf smoke of the tree builders: a fixed-scale comparison of the
+ * three tree-building engines (Serial / Presorted / Parallel) under
+ * two configs — the growth phase alone (constant leaves, no
+ * prune/smooth: the code the presorted path replaced) and the full
+ * default pipeline — that checks all engines serialize
+ * byte-identically in both and writes BENCH_mtree.json:
  *
  *   perf_mtree --smoke [--rows=N] [--reps=R] [--out=FILE]
  *                      [--baseline=FILE]
+ *
+ * The comparison is the binary's only mode; `--smoke` names it and
+ * may be omitted.
  *
  * With --baseline, the run fails (exit 1) when the measured
  * growth-phase presorted-over-serial speedup drops below 75% of the
@@ -20,8 +19,6 @@
  * come from the same host), wired into ctest under the perf-smoke
  * label.
  */
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -36,9 +33,7 @@
 
 #include "bench/run_meta.hh"
 #include "data/dataset.hh"
-#include "mtree/baselines.hh"
 #include "mtree/model_tree.hh"
-#include "stats/tests.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -76,124 +71,6 @@ trainConfig(TreeBuilderKind builder)
     config.minLeafFraction = 0.02;
     return config;
 }
-
-void
-trainBenchmark(benchmark::State &state, TreeBuilderKind builder)
-{
-    const Dataset data =
-        syntheticSamples(static_cast<std::size_t>(state.range(0)), 1);
-    const ModelTreeConfig config = trainConfig(builder);
-    for (auto _ : state) {
-        ModelTree tree = ModelTree::train(data, "CPI", config);
-        benchmark::DoNotOptimize(tree.numLeaves());
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-
-void
-BM_ModelTreeTrain(benchmark::State &state)
-{
-    trainBenchmark(state, TreeBuilderKind::Auto);
-}
-BENCHMARK(BM_ModelTreeTrain)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void
-BM_ModelTreeTrainSerial(benchmark::State &state)
-{
-    trainBenchmark(state, TreeBuilderKind::Serial);
-}
-BENCHMARK(BM_ModelTreeTrainSerial)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void
-BM_ModelTreeTrainPresorted(benchmark::State &state)
-{
-    trainBenchmark(state, TreeBuilderKind::Presorted);
-}
-BENCHMARK(BM_ModelTreeTrainPresorted)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void
-BM_ModelTreeTrainParallel(benchmark::State &state)
-{
-    trainBenchmark(state, TreeBuilderKind::Parallel);
-}
-BENCHMARK(BM_ModelTreeTrainParallel)->Arg(1000)->Arg(4000)->Arg(16000);
-
-void
-BM_ModelTreePredict(benchmark::State &state)
-{
-    const Dataset data = syntheticSamples(8000, 2);
-    ModelTreeConfig config;
-    config.minLeafFraction = 0.02;
-    const ModelTree tree = ModelTree::train(data, "CPI", config);
-    std::size_t r = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tree.predict(data.row(r)));
-        r = (r + 1) % data.numRows();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ModelTreePredict);
-
-void
-BM_ModelTreeClassify(benchmark::State &state)
-{
-    const Dataset data = syntheticSamples(8000, 3);
-    ModelTreeConfig config;
-    config.minLeafFraction = 0.02;
-    const ModelTree tree = ModelTree::train(data, "CPI", config);
-    std::size_t r = 0;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(tree.classify(data.row(r)));
-        r = (r + 1) % data.numRows();
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ModelTreeClassify);
-
-void
-BM_GlobalOlsTrain(benchmark::State &state)
-{
-    const Dataset data =
-        syntheticSamples(static_cast<std::size_t>(state.range(0)), 4);
-    for (auto _ : state) {
-        auto model = GlobalLinearRegression::train(data, "CPI");
-        benchmark::DoNotOptimize(model.model().intercept);
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_GlobalOlsTrain)->Arg(4000)->Arg(16000);
-
-void
-BM_PooledTTest(benchmark::State &state)
-{
-    Rng rng(5);
-    std::vector<double> xs, ys;
-    for (int i = 0; i < state.range(0); ++i) {
-        xs.push_back(rng.normal(1.0, 0.5));
-        ys.push_back(rng.normal(1.1, 0.5));
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(pooledTTest(xs, ys).pValue);
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PooledTTest)->Arg(10000)->Arg(100000);
-
-void
-BM_MannWhitney(benchmark::State &state)
-{
-    Rng rng(6);
-    std::vector<double> xs, ys;
-    for (int i = 0; i < state.range(0); ++i) {
-        xs.push_back(rng.normal(1.0, 0.5));
-        ys.push_back(rng.normal(1.1, 0.5));
-    }
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mannWhitneyUTest(xs, ys).pValue);
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_MannWhitney)->Arg(10000)->Arg(100000);
-
-// ---- Smoke mode (the perf-smoke ctest gate). ----
 
 struct SmokeResult
 {
@@ -411,13 +288,5 @@ runSmoke(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    for (int i = 1; i < argc; ++i)
-        if (std::string_view(argv[i]) == "--smoke")
-            return runSmoke(argc, argv);
-    benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
+    return runSmoke(argc, argv);
 }
