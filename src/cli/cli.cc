@@ -462,9 +462,9 @@ cmdCollect(const ParsedOptions &options, std::ostream &err)
         wct_fatal("no benchmark '", only, "' in suite '", full.name,
                   "'");
 
-    // One path: the collect stage over the store the flags name, or
-    // over a disabled store (every shard computes) under --no-cache
-    // or without store flags. A hit is a byte-identical reload of a
+    // The collect stage over the store the flags name, or over a
+    // disabled store (every shard computes) under --no-cache or
+    // without store flags. A hit is a byte-identical reload of a
     // previous collection; a corrupt artifact warns and recomputes.
     pipeline::Pipeline pipe{options.has("no-cache")
                                 ? ArtifactStore()

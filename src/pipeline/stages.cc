@@ -672,6 +672,7 @@ collectStage(Pipeline &pipe, const SuiteProfile &suite,
     // mix.
     SuiteData out;
     out.suiteName = suite.name;
+    out.benchmarks.reserve(suite.benchmarks.size());
     for (std::size_t t = 0; t < tasks.size(); ++t) {
         if (tasks[t].shard > 0) {
             out.benchmarks.back().samples.append(parts[t]);
