@@ -22,9 +22,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -72,20 +70,6 @@ timeCollection(const SuiteProfile &suite, const CollectionConfig &config,
         }
     }
     return result;
-}
-
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 } // namespace
@@ -147,62 +131,28 @@ main(int argc, char **argv)
     const bool identical = serial.serialized == parallel.serialized;
     const double speedup = serial.ms / parallel.ms;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"benchmark\": \"perf_collect\",\n"
-         << bench::runMetadataJson("  ") << ",\n"
-         << "  \"suite\": \"" << suite.name << "\",\n"
-         << "  \"benchmarks\": " << suite.benchmarks.size() << ",\n"
-         << "  \"base_intervals\": " << intervals << ",\n"
-         << "  \"shards\": " << shards << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"host_cpus\": "
-         << std::thread::hardware_concurrency() << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"serial_ms\": " << serial.ms << ",\n"
-         << "  \"parallel_ms\": " << parallel.ms << ",\n"
-         << "  \"speedup\": " << speedup << ",\n"
-         << "  \"byte_identical\": "
-         << (identical ? "true" : "false") << "\n"
-         << "}\n";
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::cout << json.str();
+    bench::Report("perf_collect")
+        .add("suite", suite.name)
+        .add("benchmarks", suite.benchmarks.size())
+        .add("base_intervals", intervals)
+        .add("shards", shards)
+        .add("threads", threads)
+        .add("host_cpus", std::thread::hardware_concurrency())
+        .add("reps", reps)
+        .add("serial_ms", serial.ms)
+        .add("parallel_ms", parallel.ms)
+        .add("speedup", speedup)
+        .add("byte_identical", identical)
+        .write(out_path);
 
     if (!identical) {
         std::cerr << "perf_collect: FAIL: serial and parallel "
                      "collection serialized different suites\n";
         return 1;
     }
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_collect: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "speedup");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_collect: baseline has no usable "
-                         "speedup\n";
-            return 1;
-        }
-        // Gate on the speedup *ratio*, not absolute times: both the
-        // numerator and denominator were measured on this host, so
-        // the check transfers across machines and CI load.
-        const double floor = 0.75 * base;
-        if (speedup < floor) {
-            std::cerr << "perf_collect: FAIL: parallel collection "
-                      << "speedup " << speedup
-                      << "x fell below 75% of the baseline " << base
-                      << "x (floor " << floor << "x)\n";
-            return 1;
-        }
-        std::cout << "perf_collect: speedup gate OK (" << speedup
-                  << "x >= " << floor << "x floor)\n";
-    }
+    if (!baseline_path.empty() &&
+        !bench::baselineGate("perf_collect", "speedup", baseline_path,
+                             "speedup", speedup))
+        return 1;
     return 0;
 }

@@ -30,13 +30,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -118,19 +115,6 @@ struct Fixture
         server.reset();
     }
 };
-
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
 
 } // namespace
 
@@ -271,30 +255,22 @@ main(int argc, char **argv)
     }
     std::remove(model_path.c_str());
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"benchmark\": \"perf_loadgen\",\n"
-         << bench::runMetadataJson("  ") << ",\n"
-         << "  \"rate_per_s\": " << rate << ",\n"
-         << "  \"duration_s\": " << duration << ",\n"
-         << "  \"connections\": " << connections << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"soak\": " << (soak ? "true" : "false") << ",\n"
-         << "  \"achieved_rps\": " << achieved_rps << ",\n"
-         << "  \"sustained_ratio\": " << sustained_ratio << ",\n"
-         << "  \"latency_p50_us\": " << p50 << ",\n"
-         << "  \"latency_p95_us\": " << p95 << ",\n"
-         << "  \"latency_p99_us\": " << p99 << ",\n"
-         << "  \"malformed\": " << (malformed + drift_malformed)
-         << ",\n"
-         << "  \"transport_errors\": " << transport_errors << ",\n"
-         << "  \"drift_shed_predict\": " << shed_predict << ",\n"
-         << "  \"drift_ok_classify\": " << ok_classify << "\n"
-         << "}\n";
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::cout << json.str();
+    bench::Report("perf_loadgen")
+        .add("rate_per_s", rate)
+        .add("duration_s", duration)
+        .add("connections", connections)
+        .add("reps", reps)
+        .add("soak", soak)
+        .add("achieved_rps", achieved_rps)
+        .add("sustained_ratio", sustained_ratio)
+        .add("latency_p50_us", p50)
+        .add("latency_p95_us", p95)
+        .add("latency_p99_us", p99)
+        .add("malformed", malformed + drift_malformed)
+        .add("transport_errors", transport_errors)
+        .add("drift_shed_predict", shed_predict)
+        .add("drift_ok_classify", ok_classify)
+        .write(out_path);
 
     if (malformed + drift_malformed > 0) {
         std::cerr << "perf_loadgen: FAIL: " << malformed
@@ -313,36 +289,12 @@ main(int argc, char **argv)
               << " predicts shed, " << ok_classify
               << " classifies served)\n";
 
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_loadgen: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base =
-            jsonNumber(buf.str(), "sustained_ratio");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_loadgen: baseline has no usable "
-                         "sustained_ratio\n";
-            return 1;
-        }
-        // Ratio gate (completed/offered at the same offered rate,
-        // both measured on this host): transfers across machines.
-        const double floor = 0.75 * base;
-        if (sustained_ratio < floor) {
-            std::cerr << "perf_loadgen: FAIL: sustained completion "
-                         "ratio "
-                      << sustained_ratio << " fell below 75% of the "
-                      << "baseline " << base << " (floor " << floor
-                      << ")\n";
-            return 1;
-        }
-        std::cout << "perf_loadgen: sustained-rate gate OK ("
-                  << sustained_ratio << " >= " << floor
-                  << " floor)\n";
-    }
+    // Ratio gate: completed/offered at the same offered rate, both
+    // measured on this host.
+    if (!baseline_path.empty() &&
+        !bench::baselineGate("perf_loadgen", "sustained-rate",
+                             baseline_path, "sustained_ratio",
+                             sustained_ratio))
+        return 1;
     return 0;
 }

@@ -22,10 +22,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <limits>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -146,20 +144,6 @@ compareEngines(const Dataset &data, MakeConfig make_config, int reps)
     return cmp;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 int
 runSmoke(int argc, char **argv)
 {
@@ -212,74 +196,34 @@ runSmoke(int argc, char **argv)
     const double full_speedup_parallel =
         full.serial_ms / full.parallel_ms;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"benchmark\": \"perf_mtree --smoke\",\n"
-         << bench::runMetadataJson("  ") << ",\n"
-         << "  \"rows\": " << rows << ",\n"
-         << "  \"cols\": " << data.numColumns() << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"growth_serial_ms\": " << growth.serial_ms << ",\n"
-         << "  \"growth_presorted_ms\": " << growth.presorted_ms
-         << ",\n"
-         << "  \"growth_parallel_ms\": " << growth.parallel_ms
-         << ",\n"
-         << "  \"growth_speedup_presorted\": "
-         << growth_speedup_presorted << ",\n"
-         << "  \"growth_speedup_parallel\": "
-         << growth_speedup_parallel << ",\n"
-         << "  \"full_serial_ms\": " << full.serial_ms << ",\n"
-         << "  \"full_presorted_ms\": " << full.presorted_ms << ",\n"
-         << "  \"full_parallel_ms\": " << full.parallel_ms << ",\n"
-         << "  \"full_speedup_presorted\": "
-         << full_speedup_presorted << ",\n"
-         << "  \"full_speedup_parallel\": " << full_speedup_parallel
-         << ",\n"
-         << "  \"trees_identical\": "
-         << (identical ? "true" : "false") << "\n"
-         << "}\n";
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::cout << json.str();
+    bench::Report("perf_mtree --smoke")
+        .add("rows", rows)
+        .add("cols", data.numColumns())
+        .add("threads", threads)
+        .add("reps", reps)
+        .add("growth_serial_ms", growth.serial_ms)
+        .add("growth_presorted_ms", growth.presorted_ms)
+        .add("growth_parallel_ms", growth.parallel_ms)
+        .add("growth_speedup_presorted", growth_speedup_presorted)
+        .add("growth_speedup_parallel", growth_speedup_parallel)
+        .add("full_serial_ms", full.serial_ms)
+        .add("full_presorted_ms", full.presorted_ms)
+        .add("full_parallel_ms", full.parallel_ms)
+        .add("full_speedup_presorted", full_speedup_presorted)
+        .add("full_speedup_parallel", full_speedup_parallel)
+        .add("trees_identical", identical)
+        .write(out_path);
 
     if (!identical) {
         std::cerr << "perf_mtree: FAIL: the three engines serialized "
                      "different trees\n";
         return 1;
     }
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_mtree: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base =
-            jsonNumber(buf.str(), "growth_speedup_presorted");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_mtree: baseline has no usable "
-                         "growth_speedup_presorted\n";
-            return 1;
-        }
-        // Gate on the speedup *ratio*, not absolute times: both the
-        // numerator and denominator were measured on this host, so
-        // the check transfers across machines and CI load.
-        const double floor = 0.75 * base;
-        if (growth_speedup_presorted < floor) {
-            std::cerr << "perf_mtree: FAIL: growth-phase presorted "
-                      << "speedup " << growth_speedup_presorted
-                      << "x fell below 75% of the baseline " << base
-                      << "x (floor " << floor << "x)\n";
-            return 1;
-        }
-        std::cout << "perf_mtree: speedup gate OK ("
-                  << growth_speedup_presorted << "x >= " << floor
-                  << "x floor)\n";
-    }
+    if (!baseline_path.empty() &&
+        !bench::baselineGate("perf_mtree", "speedup", baseline_path,
+                             "growth_speedup_presorted",
+                             growth_speedup_presorted))
+        return 1;
     return 0;
 }
 

@@ -15,10 +15,10 @@
  * and writes BENCH_serve.json with the throughputs and two ratios:
  * batch_speedup (what batching buys over per-sample framing) and
  * compiled_speedup (what compiling the tree buys over interpreting
- * it). The batched scenario runs twice — once with the compiled
- * engine, once with EngineConfig::compiledEval=false — and the two
- * servers must produce byte-identical response frames, re-checking
- * the compiled/interpreted equivalence contract end to end.
+ * it). Both served scenarios go through the one engine, which always
+ * evaluates compiled; the interpreted walk runs only in the raw
+ * scenario, where its outputs are compared with the compiled ones
+ * bit for bit.
  *
  *   perf_serve [--rows=R] [--requests=N] [--clients=C] [--threads=T]
  *              [--reps=K] [--out=FILE] [--baseline=FILE]
@@ -35,13 +35,10 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -157,7 +154,7 @@ struct ScenarioResult
 ScenarioResult
 timeScenario(const std::string &model_path,
              const std::vector<std::string> &frames,
-             std::size_t clients, int reps, bool compiled_eval)
+             std::size_t clients, int reps)
 {
     ScenarioResult result;
     result.ms = std::numeric_limits<double>::infinity();
@@ -166,8 +163,6 @@ timeScenario(const std::string &model_path,
         ServerConfig config;
         config.queueDepth = 4096;
         config.maxBatch = 64;
-        config.batchers = 1;
-        config.compiledEval = compiled_eval;
         Server server(config);
         std::string err;
         if (!server.loadModel(model_path, "bench", nullptr, &err)) {
@@ -277,20 +272,6 @@ timeRawEval(const ModelTree &tree, const Dataset &probe,
     return result;
 }
 
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 } // namespace
 
 int
@@ -348,12 +329,10 @@ main(int argc, char **argv)
     const std::vector<std::string> singleton_frames =
         buildFrames(probe, 1, total_samples);
 
-    const ScenarioResult batched = timeScenario(
-        model_path, batched_frames, clients, reps, true);
-    const ScenarioResult batched_interp = timeScenario(
-        model_path, batched_frames, clients, reps, false);
-    const ScenarioResult singleton = timeScenario(
-        model_path, singleton_frames, clients, reps, true);
+    const ScenarioResult batched =
+        timeScenario(model_path, batched_frames, clients, reps);
+    const ScenarioResult singleton =
+        timeScenario(model_path, singleton_frames, clients, reps);
     const RawEvalResult raw =
         timeRawEval(tree, probe, total_samples, reps);
     std::remove(model_path.c_str());
@@ -365,51 +344,29 @@ main(int argc, char **argv)
     const double batch_speedup = batched_sps / singleton_sps;
     const double compiled_speedup =
         raw.interpreted_ms / raw.compiled_ms;
-    const double e2e_compiled_speedup =
-        batched_interp.ms / batched.ms;
-    // The two engine modes must agree byte for byte, frame for frame.
-    const bool modes_identical =
-        batched.responses == batched_interp.responses;
     const bool deterministic = batched.deterministic &&
-        batched_interp.deterministic && singleton.deterministic &&
-        raw.identical && modes_identical;
+        singleton.deterministic && raw.identical;
 
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"benchmark\": \"perf_serve\",\n"
-         << bench::runMetadataJson("  ") << ",\n"
-         << "  \"rows_per_request\": " << rows << ",\n"
-         << "  \"requests\": " << requests << ",\n"
-         << "  \"total_samples\": " << total_samples << ",\n"
-         << "  \"clients\": " << clients << ",\n"
-         << "  \"threads\": " << threads << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"model_leaves\": " << tree.numLeaves() << ",\n"
-         << "  \"compiled_nodes\": " << tree.compiled().numNodes()
-         << ",\n"
-         << "  \"compiled_depth\": " << tree.compiled().depth()
-         << ",\n"
-         << "  \"batched_ms\": " << batched.ms << ",\n"
-         << "  \"batched_interpreted_ms\": " << batched_interp.ms
-         << ",\n"
-         << "  \"singleton_ms\": " << singleton.ms << ",\n"
-         << "  \"raw_interpreted_ms\": " << raw.interpreted_ms
-         << ",\n"
-         << "  \"raw_compiled_ms\": " << raw.compiled_ms << ",\n"
-         << "  \"batched_samples_per_s\": " << batched_sps << ",\n"
-         << "  \"singleton_samples_per_s\": " << singleton_sps
-         << ",\n"
-         << "  \"batch_speedup\": " << batch_speedup << ",\n"
-         << "  \"compiled_speedup\": " << compiled_speedup << ",\n"
-         << "  \"e2e_compiled_speedup\": " << e2e_compiled_speedup
-         << ",\n"
-         << "  \"deterministic\": "
-         << (deterministic ? "true" : "false") << "\n"
-         << "}\n";
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::cout << json.str();
+    bench::Report("perf_serve")
+        .add("rows_per_request", rows)
+        .add("requests", requests)
+        .add("total_samples", total_samples)
+        .add("clients", clients)
+        .add("threads", threads)
+        .add("reps", reps)
+        .add("model_leaves", tree.numLeaves())
+        .add("compiled_nodes", tree.compiled().numNodes())
+        .add("compiled_depth", tree.compiled().depth())
+        .add("batched_ms", batched.ms)
+        .add("singleton_ms", singleton.ms)
+        .add("raw_interpreted_ms", raw.interpreted_ms)
+        .add("raw_compiled_ms", raw.compiled_ms)
+        .add("batched_samples_per_s", batched_sps)
+        .add("singleton_samples_per_s", singleton_sps)
+        .add("batch_speedup", batch_speedup)
+        .add("compiled_speedup", compiled_speedup)
+        .add("deterministic", deterministic)
+        .write(out_path);
 
     if (!deterministic) {
         std::cerr << "perf_serve: FAIL: responses were not "
@@ -417,59 +374,16 @@ main(int argc, char **argv)
                      "evaluation disagreed\n";
         return 1;
     }
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_serve: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "batch_speedup");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_serve: baseline has no usable "
-                         "batch_speedup\n";
-            return 1;
-        }
-        // Gate on ratios, not absolute throughput: numerator and
-        // denominator of each ratio were measured on this host, so
-        // the checks transfer across machines and CI load.
-        const double floor = 0.75 * base;
-        if (batch_speedup < floor) {
-            std::cerr << "perf_serve: FAIL: batched serving speedup "
-                      << batch_speedup
-                      << "x fell below 75% of the baseline " << base
-                      << "x (floor " << floor << "x)\n";
-            return 1;
-        }
-        std::cout << "perf_serve: batch-speedup gate OK ("
-                  << batch_speedup << "x >= " << floor
-                  << "x floor)\n";
-
-        const double base_compiled =
-            jsonNumber(buf.str(), "compiled_speedup");
-        if (std::isnan(base_compiled) || base_compiled <= 0.0) {
-            std::cerr << "perf_serve: baseline has no usable "
-                         "compiled_speedup\n";
-            return 1;
-        }
-        // Compiled evaluation must clear 2x over interpreted on the
-        // smoke size regardless of host, and additionally stay
-        // within 75% of the checked-in (derated) baseline ratio.
-        const double compiled_floor =
-            std::max(2.0, 0.75 * base_compiled);
-        if (compiled_speedup < compiled_floor) {
-            std::cerr << "perf_serve: FAIL: compiled/interpreted "
-                         "speedup "
-                      << compiled_speedup << "x fell below the "
-                      << compiled_floor << "x floor (baseline "
-                      << base_compiled << "x)\n";
-            return 1;
-        }
-        std::cout << "perf_serve: compiled-speedup gate OK ("
-                  << compiled_speedup << "x >= " << compiled_floor
-                  << "x floor)\n";
-    }
+    // Compiled evaluation must clear 2x over interpreted on the smoke
+    // size regardless of host, and additionally stay within 75% of
+    // the checked-in (derated) baseline ratio.
+    if (!baseline_path.empty() &&
+        (!bench::baselineGate("perf_serve", "batch-speedup",
+                              baseline_path, "batch_speedup",
+                              batch_speedup) ||
+         !bench::baselineGate("perf_serve", "compiled-speedup",
+                              baseline_path, "compiled_speedup",
+                              compiled_speedup, 2.0)))
+        return 1;
     return 0;
 }

@@ -29,10 +29,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
@@ -87,20 +85,6 @@ timePlan(const std::string &plan,
     result.stages = pipe.runs().size();
     result.hits = pipe.cachedCount();
     return result;
-}
-
-/** Value of the first `"key": <number>` in a (flat) JSON text. */
-double
-jsonNumber(const std::string &text, const std::string &key)
-{
-    const std::string quoted = "\"" + key + "\"";
-    const std::size_t pos = text.find(quoted);
-    if (pos == std::string::npos)
-        return std::nan("");
-    const std::size_t colon = text.find(':', pos + quoted.size());
-    if (colon == std::string::npos)
-        return std::nan("");
-    return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 } // namespace
@@ -202,27 +186,18 @@ main(int argc, char **argv)
     fs::remove_all(work_dir);
 
     const double speedup = cold.ms / warm.ms;
-    std::ostringstream json;
-    json << "{\n"
-         << "  \"benchmark\": \"perf_store\",\n"
-         << bench::runMetadataJson("  ") << ",\n"
-         << "  \"plan\": \"" << plan << "\",\n"
-         << "  \"base_intervals\": " << intervals << ",\n"
-         << "  \"stages\": " << cold.stages << ",\n"
-         << "  \"reps\": " << reps << ",\n"
-         << "  \"cold_ms\": " << cold.ms << ",\n"
-         << "  \"warm_ms\": " << warm.ms << ",\n"
-         << "  \"speedup\": " << speedup << ",\n"
-         << "  \"warm_hits\": " << warm.hits << ",\n"
-         << "  \"warm_all_cached\": "
-         << (warm_all_cached ? "true" : "false") << ",\n"
-         << "  \"byte_identical\": "
-         << (identical ? "true" : "false") << "\n"
-         << "}\n";
-    std::ofstream out(out_path);
-    out << json.str();
-    out.close();
-    std::cout << json.str();
+    bench::Report("perf_store")
+        .add("plan", plan)
+        .add("base_intervals", intervals)
+        .add("stages", cold.stages)
+        .add("reps", reps)
+        .add("cold_ms", cold.ms)
+        .add("warm_ms", warm.ms)
+        .add("speedup", speedup)
+        .add("warm_hits", warm.hits)
+        .add("warm_all_cached", warm_all_cached)
+        .add("byte_identical", identical)
+        .write(out_path);
 
     if (!warm_all_cached) {
         std::cerr << "perf_store: FAIL: a warm worker missed the "
@@ -241,32 +216,9 @@ main(int argc, char **argv)
                      "paying for itself\n";
         return 1;
     }
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::cerr << "perf_store: cannot read baseline "
-                      << baseline_path << "\n";
-            return 1;
-        }
-        std::stringstream buf;
-        buf << in.rdbuf();
-        const double base = jsonNumber(buf.str(), "speedup");
-        if (std::isnan(base) || base <= 0.0) {
-            std::cerr << "perf_store: baseline has no usable "
-                         "speedup\n";
-            return 1;
-        }
-        // Gate on the ratio, not absolute times: both numbers come
-        // from this host, so the check transfers across machines.
-        const double floor = 0.75 * base;
-        if (speedup < floor) {
-            std::cerr << "perf_store: FAIL: warm speedup " << speedup
-                      << "x fell below 75% of the baseline " << base
-                      << "x (floor " << floor << "x)\n";
-            return 1;
-        }
-        std::cout << "perf_store: speedup gate OK (" << speedup
-                  << "x >= " << floor << "x floor)\n";
-    }
+    if (!baseline_path.empty() &&
+        !bench::baselineGate("perf_store", "speedup", baseline_path,
+                             "speedup", speedup))
+        return 1;
     return 0;
 }

@@ -1,6 +1,10 @@
 #include "bench/run_meta.hh"
 
-#include <sstream>
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <thread>
 
 #include "util/thread_pool.hh"
@@ -81,6 +85,67 @@ runMetadataJson(const std::string &indent)
          << std::thread::hardware_concurrency() << "\n"
          << indent << "}";
     return json.str();
+}
+
+Report::Report(const std::string &benchmark)
+{
+    json_ << "{\n  \"benchmark\": \"" << benchmark << "\",\n"
+          << runMetadataJson("  ");
+}
+
+void
+Report::write(const std::string &path) const
+{
+    const std::string text = json_.str() + "\n}\n";
+    std::ofstream(path) << text;
+    std::cout << text;
+}
+
+double
+jsonNumber(const std::string &text, const std::string &key)
+{
+    const std::string quoted = "\"" + key + "\"";
+    const std::size_t pos = text.find(quoted);
+    if (pos == std::string::npos)
+        return std::nan("");
+    const std::size_t colon = text.find(':', pos + quoted.size());
+    if (colon == std::string::npos)
+        return std::nan("");
+    return std::strtod(text.c_str() + colon + 1, nullptr);
+}
+
+bool
+baselineGate(const std::string &bench, const std::string &gate,
+             const std::string &baseline, const std::string &key,
+             double measured, double hardFloor)
+{
+    std::ifstream in(baseline);
+    if (!in) {
+        std::cerr << bench << ": cannot read baseline " << baseline
+                  << "\n";
+        return false;
+    }
+    std::stringstream text;
+    text << in.rdbuf();
+    const double base = jsonNumber(text.str(), key);
+    if (std::isnan(base) || base <= 0.0) {
+        std::cerr << bench << ": baseline has no usable " << key
+                  << "\n";
+        return false;
+    }
+    const double floor = std::max(hardFloor, 0.75 * base);
+    if (!(measured >= floor)) {
+        std::cerr << bench << ": FAIL: " << gate << " " << measured
+                  << " fell below the " << floor << " floor (75% of "
+                  << "baseline " << base;
+        if (hardFloor > 0.0)
+            std::cerr << ", at least " << hardFloor;
+        std::cerr << ")\n";
+        return false;
+    }
+    std::cout << bench << ": " << gate << " gate OK (" << measured
+              << " >= " << floor << " floor)\n";
+    return true;
 }
 
 } // namespace wct::bench

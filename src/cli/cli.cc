@@ -215,7 +215,6 @@ const CommandSpec kServeSpec{
         {"port", FlagType::Uint, false, "N"},
         {"queue-depth", FlagType::Uint, false, "N"},
         {"max-batch", FlagType::Uint, false, "N"},
-        {"batchers", FlagType::Uint, false, "N"},
         {"max-connections", FlagType::Uint, false, "N"},
         {"dispatch-threads", FlagType::Uint, false, "N"},
         {"default-deadline", FlagType::Uint, false, "MS"},
@@ -225,7 +224,6 @@ const CommandSpec kServeSpec{
         {"slo-min-samples", FlagType::Uint, false, "N"},
         {"no-remote-load", FlagType::Bool, false, ""},
         {"no-remote-shutdown", FlagType::Bool, false, ""},
-        {"interpreted", FlagType::Bool, false, ""},
         {"stats-text", FlagType::Bool, false, ""},
     },
     {},
@@ -902,7 +900,6 @@ cmdServe(const ParsedOptions &options, std::ostream &out,
     serve::ServerConfig config;
     config.queueDepth = options.getUint("queue-depth", 256);
     config.maxBatch = options.getUint("max-batch", 64);
-    config.batchers = options.getUint("batchers", 1);
     config.allowRemoteLoad = !options.has("no-remote-load");
     config.allowRemoteShutdown = !options.has("no-remote-shutdown");
     config.defaultDeadlineMs =
@@ -912,10 +909,6 @@ cmdServe(const ParsedOptions &options, std::ostream &out,
     config.sloClassifyP99Us =
         options.getUint("slo-classify-p99", 0);
     config.sloMinSamples = options.getUint("slo-min-samples", 32);
-    // Escape hatch for diagnosing a suspected compiled-evaluation
-    // divergence in the field: serve from the interpreted per-row
-    // walk instead (responses are byte-identical by contract).
-    config.compiledEval = !options.has("interpreted");
 
     serve::Server server(config);
     serve::ModelInfo info;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <span>
 
 #include "mtree/compiled_tree.hh"
 #include "util/thread_pool.hh"
@@ -11,11 +10,10 @@ namespace wct::serve
 {
 
 BatchEngine::BatchEngine(RequestQueue &queue, ServingMetrics &metrics,
-                         EngineConfig config)
-    : queue_(queue), metrics_(metrics), config_(config)
+                         std::size_t maxBatch)
+    : queue_(queue), metrics_(metrics),
+      maxBatch_(std::max<std::size_t>(1, maxBatch))
 {
-    config_.batchers = std::max<std::size_t>(1, config_.batchers);
-    config_.maxBatch = std::max<std::size_t>(1, config_.maxBatch);
 }
 
 BatchEngine::~BatchEngine()
@@ -26,17 +24,15 @@ BatchEngine::~BatchEngine()
 void
 BatchEngine::start()
 {
-    for (std::size_t i = 0; i < config_.batchers; ++i)
-        batchers_.emplace_back([this] { batcherLoop(); });
+    batcher_ = std::thread([this] { batcherLoop(); });
 }
 
 void
 BatchEngine::stop()
 {
     queue_.close();
-    for (std::thread &thread : batchers_)
-        thread.join();
-    batchers_.clear();
+    if (batcher_.joinable())
+        batcher_.join();
 }
 
 void
@@ -45,7 +41,7 @@ BatchEngine::batcherLoop()
     std::vector<Job> batch;
     while (true) {
         batch.clear();
-        if (!queue_.popBatch(batch, config_.maxBatch))
+        if (!queue_.popBatch(batch, maxBatch_))
             return; // closed and drained
         runBatch(batch);
     }
@@ -119,82 +115,52 @@ BatchEngine::runBatch(std::vector<Job> &batch)
             response.leaf.resize(rows);
             offsets.push_back(offsets.back() + rows);
         }
-        const ModelTree &tree = *group.front()->tree;
         const std::size_t group_rows = offsets.back();
 
-        if (config_.compiledEval) {
-            // Columnar-hot path: blocks of the flat row space go
-            // through the flattened CompiledTree — one branch-free
-            // descent per row fills leaf and CPI together. A block
-            // may span several jobs; it is split at job boundaries
-            // so each sub-range streams one request's contiguous
-            // row-major buffer into that job's pre-sized response
-            // slots (byte-deterministic at any WCT_THREADS).
-            const CompiledTree &compiled = tree.compiled();
-            const std::size_t block = CompiledTree::kBlockRows;
-            const std::size_t blocks =
-                (group_rows + block - 1) / block;
-            parallelFor(
-                blocks,
-                [&](std::size_t b) {
-                    std::size_t lo = b * block;
-                    const std::size_t hi =
-                        std::min(group_rows, lo + block);
-                    std::size_t j = static_cast<std::size_t>(
-                        std::upper_bound(offsets.begin(),
-                                         offsets.end(), lo) -
-                        offsets.begin() - 1);
-                    std::uint32_t leaves[CompiledTree::kBlockRows];
-                    while (lo < hi) {
-                        const std::size_t take =
-                            std::min(hi, offsets[j + 1]) - lo;
-                        if (take == 0) { // zero-row job in range
-                            ++j;
-                            continue;
-                        }
-                        Job &job = *group[j];
-                        const std::size_t r = lo - offsets[j];
-                        const std::size_t cols =
-                            job.request.schema.size();
-                        double *cpi =
-                            job.request.op == Opcode::Predict
-                            ? job.response.cpi.data() + r
-                            : nullptr;
-                        compiled.evaluateBlock(
-                            job.request.rows.data() + r * cols,
-                            cols, take, cpi, leaves);
-                        for (std::size_t i = 0; i < take; ++i)
-                            job.response.leaf[r + i] =
-                                leaves[i] + 1; // wire: LM numbers
-                        lo += take;
+        // Blocks of the flat row space go through the flattened
+        // CompiledTree: one branch-free descent per row fills leaf
+        // and CPI together. A block may span several jobs; it is
+        // split at job boundaries so each sub-range streams one
+        // request's contiguous row-major buffer into that job's
+        // pre-sized response slots (byte-deterministic at any
+        // WCT_THREADS).
+        const CompiledTree &compiled = group.front()->tree->compiled();
+        const std::size_t block = CompiledTree::kBlockRows;
+        const std::size_t blocks = (group_rows + block - 1) / block;
+        parallelFor(
+            blocks,
+            [&](std::size_t b) {
+                std::size_t lo = b * block;
+                const std::size_t hi = std::min(group_rows, lo + block);
+                std::size_t j = static_cast<std::size_t>(
+                    std::upper_bound(offsets.begin(), offsets.end(),
+                                     lo) -
+                    offsets.begin() - 1);
+                std::uint32_t leaves[CompiledTree::kBlockRows];
+                while (lo < hi) {
+                    const std::size_t take =
+                        std::min(hi, offsets[j + 1]) - lo;
+                    if (take == 0) { // zero-row job in range
                         ++j;
+                        continue;
                     }
-                },
-                ThreadPool::global(), /*min_chunk=*/1);
-        } else {
-            // Interpreted fallback: per-row pointer-chasing descent,
-            // twice per predict row (classify + predict) — the PR 4
-            // behavior, kept as perf_serve's gate denominator.
-            parallelFor(
-                group_rows,
-                [&](std::size_t flat) {
-                    const std::size_t j = static_cast<std::size_t>(
-                        std::upper_bound(offsets.begin(),
-                                         offsets.end(), flat) -
-                        offsets.begin() - 1);
                     Job &job = *group[j];
-                    const std::size_t r = flat - offsets[j];
-                    const std::size_t cols =
-                        job.request.schema.size();
-                    const std::span<const double> row(
-                        job.request.rows.data() + r * cols, cols);
-                    const std::size_t leaf = tree.classify(row);
-                    job.response.leaf[r] = leaf + 1;
-                    if (job.request.op == Opcode::Predict)
-                        job.response.cpi[r] = tree.predict(row);
-                },
-                ThreadPool::global(), /*min_chunk=*/64);
-        }
+                    const std::size_t r = lo - offsets[j];
+                    const std::size_t cols = job.request.schema.size();
+                    double *cpi = job.request.op == Opcode::Predict
+                        ? job.response.cpi.data() + r
+                        : nullptr;
+                    compiled.evaluateBlock(
+                        job.request.rows.data() + r * cols, cols, take,
+                        cpi, leaves);
+                    for (std::size_t i = 0; i < take; ++i)
+                        job.response.leaf[r + i] =
+                            leaves[i] + 1; // wire: LM numbers
+                    lo += take;
+                    ++j;
+                }
+            },
+            ThreadPool::global(), /*min_chunk=*/1);
     }
 
     // Complete promises only after the whole group finished; record

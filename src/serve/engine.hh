@@ -1,20 +1,20 @@
 /**
  * @file
- * The batched inference engine: consumer threads that drain the
- * admission queue, coalesce whatever is waiting into one batch,
- * and fan the rows over the work-stealing pool.
+ * The batched inference engine: one consumer thread that drains the
+ * admission queue, coalesces whatever is waiting into one batch, and
+ * fans the rows over the work-stealing pool.
  *
- * Two levels of parallelism compose here. Batcher threads (few) own
+ * Two levels of parallelism compose here. The batcher thread owns
  * request-level work: popping coalesced batches, grouping jobs that
  * resolved to the same model, and completing promises. Row-level
  * work — the actual tree descents — goes through parallelFor on the
  * global pool, the same path predictAll uses for offline datasets,
  * so a single 10k-row request saturates the machine just like ten
- * 1k-row requests do. By default rows are evaluated in blocks
- * through the model's flattened CompiledTree (branch-free descent,
- * one pass for CPI + leaf; mtree/compiled_tree.hh); the interpreted
- * per-row walk survives behind EngineConfig::compiledEval = false
- * as the differential and perf baseline.
+ * 1k-row requests do. Rows are evaluated in blocks through the
+ * model's flattened CompiledTree (branch-free descent, one pass for
+ * CPI + leaf; mtree/compiled_tree.hh), which is bit-identical to the
+ * interpreted ModelTree::predict/classify walk that stays the
+ * reference.
  *
  * Results are deterministic by construction: every row's (CPI, leaf)
  * is a pure function of the row and the model snapshot resolved at
@@ -35,32 +35,13 @@
 namespace wct::serve
 {
 
-/** Engine tuning knobs. */
-struct EngineConfig
-{
-    /** Batcher (consumer) threads draining the queue. */
-    std::size_t batchers = 1;
-
-    /** Most jobs coalesced into one batch. */
-    std::size_t maxBatch = 64;
-
-    /**
-     * Evaluate rows through the model's flattened CompiledTree
-     * (mtree/compiled_tree.hh): one branch-free descent per row
-     * serves both the CPI and the leaf number. Off = the interpreted
-     * per-row tree walk, kept as the differential baseline and the
-     * denominator of perf_serve's compiled-vs-interpreted gate. Both
-     * modes produce byte-identical responses.
-     */
-    bool compiledEval = true;
-};
-
-/** Owns the batcher threads; see file comment. */
+/** Owns the batcher thread; see file comment. */
 class BatchEngine
 {
   public:
+    /** `maxBatch`: most jobs coalesced into one batch (at least 1). */
     BatchEngine(RequestQueue &queue, ServingMetrics &metrics,
-                EngineConfig config);
+                std::size_t maxBatch);
 
     BatchEngine(const BatchEngine &) = delete;
     BatchEngine &operator=(const BatchEngine &) = delete;
@@ -68,11 +49,11 @@ class BatchEngine
     /** Stops (drains) if still running. */
     ~BatchEngine();
 
-    /** Spawn the batcher threads. */
+    /** Spawn the batcher thread; call at most once. */
     void start();
 
     /**
-     * Close the queue and join the batchers. Every job admitted
+     * Close the queue and join the batcher. Every job admitted
      * before the close is completed first (graceful drain).
      */
     void stop();
@@ -83,8 +64,8 @@ class BatchEngine
 
     RequestQueue &queue_;
     ServingMetrics &metrics_;
-    EngineConfig config_;
-    std::vector<std::thread> batchers_;
+    std::size_t maxBatch_;
+    std::thread batcher_;
 };
 
 } // namespace wct::serve

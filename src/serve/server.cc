@@ -26,9 +26,7 @@ errorResponse(const Request &request, Status status,
 Server::Server(ServerConfig config)
     : config_(config), queue_(std::max<std::size_t>(
                            1, config.queueDepth)),
-      engine_(queue_, metrics_,
-              EngineConfig{config.batchers, config.maxBatch,
-                           config.compiledEval})
+      engine_(queue_, metrics_, config.maxBatch)
 {
     if (config_.startEngine)
         startEngine();

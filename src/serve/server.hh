@@ -44,13 +44,6 @@ struct ServerConfig
     /** Most jobs coalesced into one engine batch. */
     std::size_t maxBatch = 64;
 
-    /** Batcher (consumer) threads. */
-    std::size_t batchers = 1;
-
-    /** Engine evaluation mode (see EngineConfig::compiledEval);
-     * off = interpreted per-row descent (`wct serve --interpreted`). */
-    bool compiledEval = true;
-
     /** Permit loadModel frames (off for untrusted clients). */
     bool allowRemoteLoad = true;
 
@@ -139,7 +132,8 @@ class Server : public FrameHandler
         return shuttingDown_.load(std::memory_order_acquire);
     }
 
-    /** Block until every admitted job completed and batchers exited. */
+    /** Block until every admitted job completed and the batcher
+     * exited. */
     void drain();
 
     /** Current metrics, including live queue depth. */

@@ -165,7 +165,7 @@ TEST(DeadlineTest, ExpiredJobNeverReachesEngineDirectly)
     auto future = job.result.get_future();
     ASSERT_EQ(queue.push(std::move(job)), PushResult::Ok);
 
-    BatchEngine engine(queue, metrics, EngineConfig{});
+    BatchEngine engine(queue, metrics, ServerConfig{}.maxBatch);
     engine.start();
     const Response response = future.get();
     EXPECT_EQ(response.status, Status::DeadlineExceeded);

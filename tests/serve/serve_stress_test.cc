@@ -53,7 +53,6 @@ TEST(ServeStressTest, LoopbackClientsVersusReloadsAndOverload)
     ServerConfig config;
     config.queueDepth = 4; // tiny on purpose: provoke Overloaded
     config.maxBatch = 8;
-    config.batchers = 2;
     Server server(config);
     std::string err;
     ASSERT_TRUE(server.loadModel(path, "prod", nullptr, &err)) << err;
