@@ -1,11 +1,10 @@
 /**
  * @file
- * Perf smoke of the tree builders: a fixed-scale comparison of the
- * three tree-building engines (Serial / Presorted / Parallel) under
- * two configs — the growth phase alone (constant leaves, no
- * prune/smooth: the code the presorted path replaced) and the full
- * default pipeline — that checks all engines serialize
- * byte-identically in both and writes BENCH_mtree.json:
+ * Perf smoke of tree training: times the reference per-node-sorting
+ * growth of tests/support/tree_oracle.hh against the presorted
+ * builder of ModelTree::train, inline on a thread-less pool and on
+ * the configured pool, checks that both grow the reference's leaves
+ * and serialize identically, and writes BENCH_mtree.json:
  *
  *   perf_mtree --smoke [--rows=N] [--reps=R] [--out=FILE]
  *                      [--baseline=FILE]
@@ -13,25 +12,29 @@
  * The comparison is the binary's only mode; `--smoke` names it and
  * may be omitted.
  *
- * With --baseline, the run fails (exit 1) when the measured
- * growth-phase presorted-over-serial speedup drops below 75% of the
- * baseline's — a machine-independent regression gate (both numbers
- * come from the same host), wired into ctest under the perf-smoke
- * label.
+ * With --baseline, the run fails (exit 1) when the growth-phase
+ * speedup of the thread-less builder over the reference drops below
+ * 75% of the baseline's — a machine-independent regression gate
+ * (both numbers come from the same host), wired into ctest under the
+ * perf-smoke label.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <limits>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "bench/run_meta.hh"
 #include "data/dataset.hh"
 #include "mtree/model_tree.hh"
+#include "tests/support/tree_oracle.hh"
 #include "util/rng.hh"
 #include "util/thread_pool.hh"
 
@@ -62,86 +65,77 @@ syntheticSamples(std::size_t n, std::uint64_t seed)
 }
 
 ModelTreeConfig
-trainConfig(TreeBuilderKind builder)
+trainConfig()
 {
     ModelTreeConfig config;
-    config.builder = builder;
     config.minLeafFraction = 0.02;
     return config;
 }
 
-struct SmokeResult
-{
-    double ms = 0.0;       ///< best wall time over the reps
-    std::string serialized; ///< save() output (identity check)
-};
-
 /**
  * The growth-phase config: constant leaves with pruning and
- * smoothing off isolates exactly what the presorted engine rebuilt —
- * node moments, split search, and partitioning — from the
- * engine-independent leaf-model linear algebra (greedy subset
- * selection costs the same per node in every engine and would only
- * dilute the ratio the gate watches).
+ * smoothing off isolates exactly what the presorted builder rebuilt —
+ * node moments, split search, and partitioning — from the leaf-model
+ * linear algebra (greedy subset selection costs the same per node
+ * however the tree grows and would only dilute the ratio the gate
+ * watches).
  */
 ModelTreeConfig
-growthConfig(TreeBuilderKind builder)
+growthConfig()
 {
-    ModelTreeConfig config = trainConfig(builder);
+    ModelTreeConfig config = trainConfig();
     config.constantLeaves = true;
     config.smooth = false;
     config.prune = false;
     return config;
 }
 
-SmokeResult
-timeEngine(const Dataset &data, const ModelTreeConfig &config,
-           int reps)
+/**
+ * Best wall time of `reps` calls of `run`, in milliseconds; `out`
+ * keeps the last result (replaced outside the timed region).
+ */
+template <typename Result, typename Run>
+double
+bestMs(int reps, Result &out, Run run)
 {
-    SmokeResult result;
-    result.ms = std::numeric_limits<double>::infinity();
+    double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < reps; ++rep) {
         const auto start = std::chrono::steady_clock::now();
-        const ModelTree tree = ModelTree::train(data, "CPI", config);
+        Result result = run();
         const auto stop = std::chrono::steady_clock::now();
-        result.ms = std::min(
-            result.ms,
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count());
-        if (result.serialized.empty()) {
-            std::ostringstream out;
-            tree.save(out);
-            result.serialized = out.str();
-        }
+        best = std::min(
+            best, std::chrono::duration<double, std::milli>(stop - start)
+                      .count());
+        out = std::move(result);
     }
-    return result;
+    return best;
 }
 
-struct EngineComparison
+/** The builder on a pool of `workers` threads. */
+struct BuilderRun
 {
-    double serial_ms = 0.0;
-    double presorted_ms = 0.0;
-    double parallel_ms = 0.0;
-    bool identical = false;
+    double growth_ms = 0.0;
+    double full_ms = 0.0;
+    ModelTree grown;   ///< growth-config tree
+    std::string saved; ///< save() of the default-config tree
 };
 
-template <typename MakeConfig>
-EngineComparison
-compareEngines(const Dataset &data, MakeConfig make_config, int reps)
+BuilderRun
+timeBuilder(const Dataset &data, std::size_t workers, int reps)
 {
-    const SmokeResult serial =
-        timeEngine(data, make_config(TreeBuilderKind::Serial), reps);
-    const SmokeResult presorted = timeEngine(
-        data, make_config(TreeBuilderKind::Presorted), reps);
-    const SmokeResult parallel = timeEngine(
-        data, make_config(TreeBuilderKind::Parallel), reps);
-    EngineComparison cmp;
-    cmp.serial_ms = serial.ms;
-    cmp.presorted_ms = presorted.ms;
-    cmp.parallel_ms = parallel.ms;
-    cmp.identical = serial.serialized == presorted.serialized &&
-        serial.serialized == parallel.serialized;
-    return cmp;
+    ThreadPool::resetGlobalForTest(workers);
+    BuilderRun run;
+    run.growth_ms = bestMs(reps, run.grown, [&] {
+        return ModelTree::train(data, "CPI", growthConfig());
+    });
+    ModelTree full;
+    run.full_ms = bestMs(reps, full, [&] {
+        return ModelTree::train(data, "CPI", trainConfig());
+    });
+    std::ostringstream out;
+    full.save(out);
+    run.saved = out.str();
+    return run;
 }
 
 int
@@ -176,47 +170,45 @@ runSmoke(int argc, char **argv)
     const Dataset data = syntheticSamples(rows, 1);
     const std::size_t threads = ThreadPool::configuredThreads();
 
-    // Two measurements per engine: the growth phase (what the
-    // presorted path replaced — the headline gated number) and the
-    // full default pipeline (prune + smooth + simplified leaf
-    // models), whose engine-independent linear algebra dilutes the
-    // end-to-end ratio but is what users actually run.
-    const EngineComparison growth =
-        compareEngines(data, growthConfig, reps);
-    const EngineComparison full =
-        compareEngines(data, trainConfig, reps);
+    // The reference growth, then the builder inline (pool of no
+    // threads) and on the configured pool. The growth phase is the
+    // headline gated number; the full default pipeline (prune +
+    // smooth + simplified leaf models) is what users actually run.
+    std::vector<oracle::GrownLeaf> reference;
+    const double reference_ms = bestMs(reps, reference, [&] {
+        return oracle::growBySorting(data, "CPI", growthConfig());
+    });
+    const BuilderRun presorted = timeBuilder(data, 0, reps);
+    const BuilderRun parallel =
+        timeBuilder(data, threads <= 1 ? 0 : threads, reps);
 
-    const bool identical = growth.identical && full.identical;
+    std::optional<std::string> mismatch =
+        oracle::compareGrowth(presorted.grown, reference);
+    if (!mismatch)
+        mismatch = oracle::compareGrowth(parallel.grown, reference);
+    if (!mismatch && presorted.saved != parallel.saved)
+        mismatch = "the pooled tree serializes differently";
     const double growth_speedup_presorted =
-        growth.serial_ms / growth.presorted_ms;
-    const double growth_speedup_parallel =
-        growth.serial_ms / growth.parallel_ms;
-    const double full_speedup_presorted =
-        full.serial_ms / full.presorted_ms;
-    const double full_speedup_parallel =
-        full.serial_ms / full.parallel_ms;
+        reference_ms / presorted.growth_ms;
 
     bench::Report("perf_mtree --smoke")
         .add("rows", rows)
         .add("cols", data.numColumns())
         .add("threads", threads)
         .add("reps", reps)
-        .add("growth_serial_ms", growth.serial_ms)
-        .add("growth_presorted_ms", growth.presorted_ms)
-        .add("growth_parallel_ms", growth.parallel_ms)
+        .add("growth_serial_ms", reference_ms)
+        .add("growth_presorted_ms", presorted.growth_ms)
+        .add("growth_parallel_ms", parallel.growth_ms)
         .add("growth_speedup_presorted", growth_speedup_presorted)
-        .add("growth_speedup_parallel", growth_speedup_parallel)
-        .add("full_serial_ms", full.serial_ms)
-        .add("full_presorted_ms", full.presorted_ms)
-        .add("full_parallel_ms", full.parallel_ms)
-        .add("full_speedup_presorted", full_speedup_presorted)
-        .add("full_speedup_parallel", full_speedup_parallel)
-        .add("trees_identical", identical)
+        .add("growth_speedup_parallel",
+             reference_ms / parallel.growth_ms)
+        .add("full_presorted_ms", presorted.full_ms)
+        .add("full_parallel_ms", parallel.full_ms)
+        .add("trees_identical", !mismatch)
         .write(out_path);
 
-    if (!identical) {
-        std::cerr << "perf_mtree: FAIL: the three engines serialized "
-                     "different trees\n";
+    if (mismatch) {
+        std::cerr << "perf_mtree: FAIL: " << *mismatch << "\n";
         return 1;
     }
     if (!baseline_path.empty() &&

@@ -494,10 +494,11 @@ cmdTrain(const ParsedOptions &options, std::ostream &out)
     const Dataset data = loadModelingData(options.get("data"));
     const std::string target = options.get("target", "CPI");
 
-    ModelTreeConfig config;
-    config.minLeafInstances = options.getUint("min-leaf", 25);
+    ModelTreeConfig config = pipeline::standardModelConfig().tree;
+    config.minLeafInstances =
+        options.getUint("min-leaf", config.minLeafInstances);
     config.minLeafFraction =
-        options.getDouble("min-leaf-frac", 0.025);
+        options.getDouble("min-leaf-frac", config.minLeafFraction);
     config.smooth = !options.has("no-smooth");
     config.prune = !options.has("no-prune");
     config.constantLeaves = options.has("constant-leaves");
@@ -680,6 +681,21 @@ parseArtifactName(const std::string &name)
               "name");
 }
 
+/** One line per artifact, then the count and byte total (`cache ls`
+ * and `store ls`). */
+void
+printListing(const std::vector<ArtifactInfo> &artifacts,
+             std::ostream &out)
+{
+    std::uintmax_t total = 0;
+    for (const ArtifactInfo &info : artifacts) {
+        out << info.id.fileName() << "  " << info.fileBytes
+            << " bytes\n";
+        total += info.fileBytes;
+    }
+    out << artifacts.size() << " artifacts, " << total << " bytes\n";
+}
+
 int
 cmdCache(const ParsedOptions &options, std::ostream &out)
 {
@@ -687,14 +703,7 @@ cmdCache(const ParsedOptions &options, std::ostream &out)
     const ArtifactStore store = storeFromOptions(options);
 
     if (action == "ls") {
-        std::uintmax_t total = 0;
-        for (const ArtifactInfo &info : store.list()) {
-            out << info.id.fileName() << "  " << info.fileBytes
-                << " bytes\n";
-            total += info.fileBytes;
-        }
-        out << store.list().size() << " artifacts, " << total
-            << " bytes\n";
+        printListing(store.list(), out);
         return 0;
     }
     if (action == "rm") {
@@ -855,17 +864,9 @@ cmdStore(const ParsedOptions &options, std::ostream &out,
         out << "ok: " << url << " (" << kStoreWireMagic << " v"
             << kStoreWireFormatVersion << ")\n";
         break;
-      case StoreOp::List: {
-        std::uintmax_t total = 0;
-        for (const ArtifactInfo &info : response->artifacts) {
-            out << info.id.fileName() << "  " << info.fileBytes
-                << " bytes\n";
-            total += info.fileBytes;
-        }
-        out << response->artifacts.size() << " artifacts, " << total
-            << " bytes\n";
+      case StoreOp::List:
+        printListing(response->artifacts, out);
         break;
-      }
       case StoreOp::Shutdown:
         out << "store daemon shutting down\n";
         break;

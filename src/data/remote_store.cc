@@ -7,6 +7,7 @@
 #include <istream>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 
 #include "util/logging.hh"
 #include "util/socket_io.hh"
@@ -168,10 +169,12 @@ class RemoteStoreBackend final : public StoreBackend
                      response->error, "); recomputing");
             return std::nullopt;
         }
-        // Content-addressed kinds re-verify on every fetch: a corrupt
-        // or lying daemon degrades to a recompute, never to wrong
-        // bytes served under a content key.
-        if (contentKind(id.kind) &&
+        // The content-addressed kind (key == FNV-1a of the payload)
+        // re-verifies on every fetch: a corrupt or lying daemon
+        // degrades to a recompute, never to wrong bytes served under
+        // a content key.
+        constexpr std::string_view kContentKind = "mtree";
+        if (id.kind == kContentKind &&
             fnv1a64(response->payload) != id.key) {
             wct_warn("remote artifact '", id.fileName(),
                      "' failed content re-hash (tampered or corrupt "
@@ -248,14 +251,6 @@ class RemoteStoreBackend final : public StoreBackend
     }
 
   private:
-    bool
-    contentKind(const std::string &kind) const
-    {
-        return std::find(config_.contentKinds.begin(),
-                         config_.contentKinds.end(),
-                         kind) != config_.contentKinds.end();
-    }
-
     /** One round trip, serialized on the shared connection. A failed
      * call drops the connection and retries once (the daemon may
      * have restarted); a daemon that stays down warns once and turns

@@ -11,10 +11,10 @@
  *    stamp); otherwise the artifact is fetched from the daemon,
  *    verified, written into the cache (evicting the oldest entries
  *    past --store-cache-bytes) and returned.
- *  - verification: content-addressed kinds (config.contentKinds,
- *    default {"mtree"}) have key == fnv1a64(payload) by construction,
- *    so every fetch is re-hashed — a corrupt or lying daemon degrades
- *    to warn-and-recompute, never wrong results. Stage-keyed kinds
+ *  - verification: the content-addressed kind ("mtree") has
+ *    key == fnv1a64(payload) by construction, so every fetch of it is
+ *    re-hashed — a corrupt or lying daemon degrades to
+ *    warn-and-recompute, never wrong results. Stage-keyed kinds
  *    hash *inputs*, not outputs, and are already envelope-checksummed
  *    and (kind,key)-prefixed end to end.
  *  - store: written to the local cache and uploaded best-effort; an
@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "data/artifact_store.hh"
 #include "data/store_wire.hh"
@@ -63,11 +62,6 @@ struct RemoteStoreConfig
 
     /** LRU size bound on the cache dir; 0 = unbounded. */
     std::uint64_t cacheBytes = 0;
-
-    /** Kinds whose key is the FNV-1a hash of the payload itself;
-     * fetched payloads of these kinds are re-hashed and rejected on
-     * mismatch. */
-    std::vector<std::string> contentKinds = {"mtree"};
 };
 
 /**

@@ -88,27 +88,4 @@ disjointFractions(const Dataset &data, double fraction, Rng &rng)
     return out;
 }
 
-std::vector<Dataset>
-kFold(const Dataset &data, std::size_t k, Rng &rng)
-{
-    wct_assert(k >= 2, "k-fold needs k >= 2");
-    wct_assert(data.numRows() >= k, "fewer rows than folds");
-    std::vector<std::size_t> all(data.numRows());
-    std::iota(all.begin(), all.end(), std::size_t(0));
-    rng.shuffle(all);
-
-    std::vector<Dataset> folds;
-    folds.reserve(k);
-    const std::size_t n = all.size();
-    for (std::size_t f = 0; f < k; ++f) {
-        // Spread the remainder over the first folds.
-        const std::size_t begin = f * n / k;
-        const std::size_t end = (f + 1) * n / k;
-        folds.push_back(data.selectRows(
-            {all.begin() + static_cast<std::ptrdiff_t>(begin),
-             all.begin() + static_cast<std::ptrdiff_t>(end)}));
-    }
-    return folds;
-}
-
 } // namespace wct

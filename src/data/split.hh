@@ -53,9 +53,6 @@ TrainTestSplit randomSplit(const Dataset &data, double train_fraction,
 TrainTestSplit disjointFractions(const Dataset &data, double fraction,
                                  Rng &rng);
 
-/** Rows of data partitioned into k folds for cross-validation. */
-std::vector<Dataset> kFold(const Dataset &data, std::size_t k, Rng &rng);
-
 } // namespace wct
 
 #endif // WCT_DATA_SPLIT_HH

@@ -45,9 +45,6 @@ struct LinearModel
         return y;
     }
 
-    /** Number of attributes used. */
-    std::size_t numAttributes() const { return attributes.size(); }
-
     /** Render as "CPI = 0.53 + 4.73 * L1DMiss + ..." */
     std::string describe(const std::vector<std::string> &column_names,
                          const std::string &target_name) const;

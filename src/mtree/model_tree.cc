@@ -35,17 +35,16 @@ constexpr std::size_t kAttrTaskRows = 512;
  * Training-time helper holding the dataset and hyper-parameters so
  * the recursive routines do not thread a dozen arguments.
  *
- * Three engines share this class (see TreeBuilderKind): the reference
- * builder re-sorts each attribute at every node; the presorted
- * builder sorts each attribute once at the root and stably partitions
- * the per-attribute row orders down the tree (O(A·n) per node); the
- * parallel builder runs the presorted kernels under the work-stealing
- * pool — attributes of a big node concurrently, independent subtrees
- * as tasks, and the fit/prune/smooth phases per subtree. All three
- * produce bit-identical trees: the split kernels share one sweep
- * (split_search.cc), every iteration order is pinned (rows ascending;
- * equal attribute values in row order), and parallel results land in
- * pre-sized slots reduced in fixed attribute order.
+ * Growth sorts each attribute once at the root and stably partitions
+ * the per-attribute row orders down the tree (O(A·n) per node). When
+ * the global pool has workers the same kernels run under it —
+ * attributes of a big node concurrently, independent subtrees as
+ * tasks, and the fit/prune/smooth phases per subtree. The tree is
+ * bit-identical at any pool size: every iteration order is pinned
+ * (rows ascending; equal attribute values in row order), and
+ * parallel results land in pre-sized slots reduced in fixed
+ * attribute order. tests/support/tree_oracle.hh grows the same tree
+ * by re-sorting every attribute at every node.
  */
 class ModelTree::Builder
 {
@@ -64,34 +63,22 @@ class ModelTree::Builder
                                      static_cast<double>(
                                          data.numRows())));
         minLeaf_ = std::max<std::size_t>(minLeaf_, 1);
-
-        kind_ = config.builder;
-        if (kind_ == TreeBuilderKind::Auto)
-            kind_ = TreeBuilderKind::Parallel;
-        if (kind_ == TreeBuilderKind::Parallel &&
-            ThreadPool::global().workerCount() == 0)
-            kind_ = TreeBuilderKind::Presorted; // WCT_THREADS=1
-        parallel_ = kind_ == TreeBuilderKind::Parallel;
+        parallel_ = ThreadPool::global().workerCount() > 0;
     }
 
     std::unique_ptr<Node>
     build()
     {
+        wct_assert(data_.numRows() <=
+                       std::numeric_limits<std::uint32_t>::max(),
+                   "presorted builder indexes rows with 32 bits");
         std::vector<std::size_t> rows(data_.numRows());
         std::iota(rows.begin(), rows.end(), std::size_t(0));
+        columns_ = data_.columnMajor();
         globalSd_ = targetMoments(rows).sd;
-
-        std::unique_ptr<Node> root;
-        if (kind_ == TreeBuilderKind::Serial) {
-            root = buildNodeSerial(rows, 0);
-        } else {
-            wct_assert(data_.numRows() <=
-                           std::numeric_limits<std::uint32_t>::max(),
-                       "presorted builder indexes rows with 32 bits");
-            columns_ = data_.columnMajor();
-            buildPresorted();
-            root = buildNodePresorted(rows, 0, data_.numRows(), 0);
-        }
+        buildPresorted();
+        std::unique_ptr<Node> root =
+            buildNodePresorted(rows, 0, data_.numRows(), 0);
         fitModels(root.get());
         if (config_.prune)
             prune(root.get());
@@ -110,22 +97,19 @@ class ModelTree::Builder
     };
 
     /**
-     * Mean and sd of the target over a row subset in one Welford
-     * pass. Every builder iterates rows in ascending row order and
-     * funnels through this one loop, so the accumulated values are
-     * identical across engines regardless of how the target is
-     * fetched (row-major Dataset or column pointer).
+     * Mean and unbiased sd of the target over a row subset in one
+     * Welford pass, rows in ascending order.
      */
-    template <typename TargetAt>
-    static TargetMoments
-    welfordMoments(std::span<const std::size_t> rows, TargetAt y_at)
+    TargetMoments
+    targetMoments(std::span<const std::size_t> rows) const
     {
+        const double *targets = columns_.columnData(target_);
         TargetMoments moments;
         double mean = 0.0;
         double m2 = 0.0;
         std::size_t k = 0;
         for (std::size_t r : rows) {
-            const double y = y_at(r);
+            const double y = targets[r];
             ++k;
             const double delta = y - mean;
             mean += delta / static_cast<double>(k);
@@ -139,24 +123,7 @@ class ModelTree::Builder
         return moments;
     }
 
-    TargetMoments
-    targetMoments(std::span<const std::size_t> rows) const
-    {
-        return welfordMoments(
-            rows, [this](std::size_t r) { return data_.at(r, target_); });
-    }
-
-    /** Initialize a node's count/mean/sd from its row subset. */
-    static void
-    applyMoments(Node &node, std::span<const std::size_t> rows,
-                 const TargetMoments &moments)
-    {
-        node.count = rows.size();
-        node.meanTarget = moments.mean;
-        node.sd = moments.sd;
-    }
-
-    /** The M5 stopping rule (shared verbatim by all engines). */
+    /** The M5 stopping rule. */
     bool
     canSplit(const Node &node, std::size_t depth) const
     {
@@ -176,7 +143,7 @@ class ModelTree::Builder
      * Fold one attribute's candidate into the incumbent. Attributes
      * are considered in ascending index order and replaced only on
      * strict improvement, so cross-attribute SDR ties break toward
-     * the lowest attribute index — in every engine, because the
+     * the lowest attribute index — at any pool size, because the
      * parallel path stores candidates in per-attribute slots and
      * reduces them through this same loop.
      */
@@ -191,75 +158,13 @@ class ModelTree::Builder
         }
     }
 
-    // ---- Reference engine: per-node sort. ----
-
-    /**
-     * Best SDR split for one attribute, delegated to the shared
-     * split-search kernel (mtree/split_search.hh). The scratch buffer
-     * is owned by the calling node (stack-local), never by the
-     * builder, so concurrent builds of sibling subtrees cannot race.
-     */
-    void
-    bestSplitForAttribute(std::span<const std::size_t> rows,
-                          std::size_t attr, double node_sd,
-                          Split &best,
-                          std::vector<SplitObservation> &scratch) const
-    {
-        scratch.clear();
-        scratch.reserve(rows.size());
-        for (std::size_t r : rows)
-            scratch.push_back({data_.at(r, attr),
-                               data_.at(r, target_)});
-        consider(findBestSdrSplit(scratch, node_sd, minLeaf_), attr,
-                 best);
-    }
-
-    std::unique_ptr<Node>
-    buildNodeSerial(std::vector<std::size_t> &rows, std::size_t depth)
-    {
-        auto node = std::make_unique<Node>();
-        applyMoments(*node, rows, targetMoments(rows));
-
-        Split best;
-        if (canSplit(*node, depth)) {
-            std::vector<SplitObservation> scratch;
-            for (std::size_t attr : predictors_)
-                bestSplitForAttribute(rows, attr, node->sd, best,
-                                      scratch);
-        }
-        if (best.sdr <= 0.0) {
-            node->rows = std::move(rows);
-            return node;
-        }
-
-        node->isLeaf = false;
-        node->splitAttr = best.attr;
-        node->splitValue = best.value;
-
-        std::vector<std::size_t> left_rows;
-        std::vector<std::size_t> right_rows;
-        left_rows.reserve(rows.size());
-        right_rows.reserve(rows.size());
-        for (std::size_t r : rows)
-            (data_.at(r, best.attr) <= best.value ? left_rows
-                                                  : right_rows)
-                .push_back(r);
-        node->rows = std::move(rows);
-        node->left = buildNodeSerial(left_rows, depth + 1);
-        node->right = buildNodeSerial(right_rows, depth + 1);
-        return node;
-    }
-
-    // ---- Presorted engine (optionally parallel). ----
-
     /**
      * Build the root working sets: for each predictor, the row ids
      * stably sorted ascending by that column, with the sorted values
      * and matching targets materialized as contiguous arrays (one
      * gather at the root buys gather-free streaming sweeps at every
      * node). Stability makes equal values appear in ascending row
-     * order, matching what the reference engine's stable per-node
-     * sort produces — the anchor of the bit-identical guarantee.
+     * order — the order a stable per-node sort would give.
      */
     void
     buildPresorted()
@@ -322,11 +227,10 @@ class ModelTree::Builder
                    "working-set range ", hi - lo, " != node rows ",
                    rows.size());
         auto node = std::make_unique<Node>();
-        const double *targets = columns_.columnData(target_);
-        applyMoments(*node, rows,
-                     welfordMoments(rows, [targets](std::size_t r) {
-                         return targets[r];
-                     }));
+        const TargetMoments moments = targetMoments(rows);
+        node->count = rows.size();
+        node->meanTarget = moments.mean;
+        node->sd = moments.sd;
 
         Split best;
         if (canSplit(*node, depth)) {
@@ -424,7 +328,7 @@ class ModelTree::Builder
         return node;
     }
 
-    // ---- Model fitting, pruning, smoothing (all engines). ----
+    // ---- Model fitting, pruning, smoothing. ----
 
     /** Fit (and simplify) the model at one node. */
     void
@@ -575,11 +479,10 @@ class ModelTree::Builder
     std::vector<std::size_t> predictors_;
     std::size_t minLeaf_ = 4;
     double globalSd_ = 0.0;
-    TreeBuilderKind kind_ = TreeBuilderKind::Auto;
     bool parallel_ = false;
 
-    // Presorted-engine state: the column-major snapshot, one sorted
-    // working set per predictor, and the per-row split-side mask.
+    // The column-major snapshot, one sorted working set per
+    // predictor, and the per-row split-side mask.
     ColumnStore columns_;
     std::vector<PresortedColumn> presorted_;
     std::vector<unsigned char> goesLeft_;
@@ -778,12 +681,6 @@ ModelTree::leafPath(std::size_t index) const
     }
     wct_assert(node == target_leaf, "leaf path descent mismatch");
     return path;
-}
-
-std::size_t
-ModelTree::numSplits() const
-{
-    return leafNodes_.empty() ? 0 : leafNodes_.size() - 1;
 }
 
 std::vector<std::size_t>

@@ -24,48 +24,9 @@ namespace wct
 
 class CompiledTree;
 
-/**
- * Which training engine ModelTree::train uses. All engines produce
- * byte-identical trees (same serialize output) for the same dataset
- * and config — pinned by the builder-equivalence property test — so
- * the choice is purely a speed/debugging knob.
- */
-enum class TreeBuilderKind
-{
-    /**
-     * Presorted; additionally parallel when the global thread pool
-     * has workers (WCT_THREADS > 1). The default.
-     */
-    Auto,
-
-    /**
-     * Reference builder: re-sorts every attribute at every node
-     * (O(A·n log n) per node). Kept as the differential baseline and
-     * for the perf benchmark's speedup denominator.
-     */
-    Serial,
-
-    /**
-     * Presorted single-threaded builder: one stable sort per
-     * attribute at the root, stable partitioning down the tree,
-     * O(A·n) per node.
-     */
-    Presorted,
-
-    /**
-     * Presorted plus work-stealing parallelism over attributes and
-     * independent subtrees (degrades to Presorted when the global
-     * pool has no workers).
-     */
-    Parallel,
-};
-
 /** Training hyper-parameters (WEKA M5P-like defaults). */
 struct ModelTreeConfig
 {
-    /** Training engine (speed-only knob; results are identical). */
-    TreeBuilderKind builder = TreeBuilderKind::Auto;
-
     /** Minimum training instances per leaf (WEKA's -M). */
     std::size_t minLeafInstances = 4;
 
@@ -147,6 +108,13 @@ class ModelTree : public Regressor
     /**
      * Train a tree predicting `target` from every other column.
      * Fatal on an empty dataset or unknown target (user input).
+     *
+     * Growth sorts each attribute once at the root and partitions
+     * the sorted orders stably down the tree (O(A·n) per node); it
+     * runs on the global thread pool when that has workers
+     * (WCT_THREADS > 1). The tree is byte-identical at any pool
+     * size, and its growth matches a per-node-sorting reference
+     * (tests/prop/builder_equivalence_prop_test.cc).
      */
     static ModelTree train(const Dataset &data,
                            const std::string &target,
@@ -182,9 +150,6 @@ class ModelTree : public Regressor
     /** Split conditions on the path to leaf `index`. */
     std::vector<SplitCondition> leafPath(std::size_t index) const;
 
-    /** Count of interior split nodes. */
-    std::size_t numSplits() const;
-
     /** Columns used as split variables anywhere in the tree. */
     std::vector<std::size_t> splitAttributes() const;
 
@@ -193,9 +158,6 @@ class ModelTree : public Regressor
 
     /** Graphviz rendering (ovals for splits, boxes for leaves). */
     std::string toDot() const;
-
-    /** Training-time global target standard deviation. */
-    double globalTargetStddev() const { return globalSd_; }
 
     /** Serialize to the text format of mtree/serialize.hh. */
     void save(std::ostream &out) const;
@@ -219,12 +181,6 @@ class ModelTree : public Regressor
      * row (see mtree/compiled_tree.hh).
      */
     const CompiledTree &compiled() const;
-
-    /** Shared handle to the compiled form (outlives this tree). */
-    std::shared_ptr<const CompiledTree> compiledShared() const
-    {
-        return compiled_;
-    }
 
   private:
     struct Node

@@ -8,37 +8,26 @@
 namespace wct
 {
 
-namespace
-{
-
-/**
- * The boundary sweep shared by both kernels: observations are
- * presented through accessors in ascending-value order and scanned
- * once with prefix sums of the target and its square.
- *
- * Both public entry points funnel through this one template so they
- * evaluate the exact same floating-point expression sequence — given
- * the same observation order the two kernels are bit-identical, which
- * is what lets the presorted builder reproduce the reference
- * builder's trees exactly.
- */
-template <typename ValueAt, typename TargetAt>
 SplitCandidate
-sweepBoundaries(std::size_t n, ValueAt value_at, TargetAt target_at,
-                double node_sd, std::size_t min_leaf)
+findBestSdrSplitPresorted(std::span<const double> values,
+                          std::span<const double> targets,
+                          double node_sd, std::size_t min_leaf)
 {
+    wct_assert(values.size() == targets.size(),
+               "presorted arrays disagree: ", values.size(), " vs ",
+               targets.size());
     wct_assert(min_leaf >= 1, "min_leaf must be at least 1");
 
     SplitCandidate best;
+    const std::size_t n = values.size();
     if (n < 2)
         return best;
-    if (value_at(0) == value_at(n - 1))
+    if (values[0] == values[n - 1])
         return best; // constant attribute
 
     double total = 0.0;
     double total_sq = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double y = target_at(i);
+    for (const double y : targets) {
         total += y;
         total_sq += y * y;
     }
@@ -52,10 +41,10 @@ sweepBoundaries(std::size_t n, ValueAt value_at, TargetAt target_at,
     double left_sq = 0.0;
     const double fn = static_cast<double>(n);
     for (std::size_t i = 0; i + 1 < n; ++i) {
-        const double y = target_at(i);
+        const double y = targets[i];
         left_sum += y;
         left_sq += y * y;
-        if (value_at(i) == value_at(i + 1))
+        if (values[i] == values[i + 1])
             continue; // not a boundary
         const std::size_t nl = i + 1;
         const std::size_t nr = n - nl;
@@ -78,51 +67,10 @@ sweepBoundaries(std::size_t n, ValueAt value_at, TargetAt target_at,
             best.valid = true;
             best.sdr = sdr;
             best.leftCount = nl;
-            best.value = 0.5 * (value_at(i) + value_at(i + 1));
+            best.value = 0.5 * (values[i] + values[i + 1]);
         }
     }
     return best;
-}
-
-} // namespace
-
-SplitCandidate
-findBestSdrSplit(std::vector<SplitObservation> &observations,
-                 double node_sd, std::size_t min_leaf)
-{
-    // Stable sort pins the order of equal attribute values to the
-    // caller's insertion order (= ascending row index in the tree
-    // builder). Prefix sums round according to accumulation order, so
-    // this is what makes the reference kernel agree bit-for-bit with
-    // the presorted kernel, whose root-sorted index arrays are
-    // stably partitioned down the tree.
-    std::stable_sort(
-        observations.begin(), observations.end(),
-        [](const SplitObservation &a, const SplitObservation &b) {
-            return a.value < b.value;
-        });
-    return sweepBoundaries(
-        observations.size(),
-        [&observations](std::size_t i) { return observations[i].value; },
-        [&observations](std::size_t i) {
-            return observations[i].target;
-        },
-        node_sd, min_leaf);
-}
-
-SplitCandidate
-findBestSdrSplitPresorted(std::span<const double> values,
-                          std::span<const double> targets,
-                          double node_sd, std::size_t min_leaf)
-{
-    wct_assert(values.size() == targets.size(),
-               "presorted arrays disagree: ", values.size(), " vs ",
-               targets.size());
-    return sweepBoundaries(
-        values.size(),
-        [values](std::size_t i) { return values[i]; },
-        [targets](std::size_t i) { return targets[i]; },
-        node_sd, min_leaf);
 }
 
 std::size_t

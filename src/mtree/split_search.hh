@@ -3,8 +3,8 @@
  * SDR split search over one attribute — the innermost loop of M5'
  * tree induction, exposed as a standalone function so the
  * differential-oracle tests (tests/support/oracles.hh) can exercise
- * the optimized prefix-sum implementation against a naive O(n²)
- * reference on arbitrary inputs.
+ * the prefix-sum implementation against a naive O(n²) reference on
+ * arbitrary inputs.
  *
  * Determinism contract (relied on by serialization goldens and the
  * property suite): given the same observations in the same order the
@@ -25,13 +25,6 @@
 
 namespace wct
 {
-
-/** One (attribute value, target) observation for split search. */
-struct SplitObservation
-{
-    double value = 0.0;
-    double target = 0.0;
-};
 
 /** Outcome of a single-attribute SDR split search. */
 struct SplitCandidate
@@ -58,25 +51,6 @@ struct SplitCandidate
 };
 
 /**
- * Find the best SDR boundary of one attribute.
- *
- * Stably sorts `observations` by value in place (equal values keep
- * the caller's insertion order, so the accumulation order — and with
- * it every rounded prefix sum — matches the presorted kernel below),
- * then scans every boundary between distinct values with prefix sums
- * of the target and its square. Boundaries leaving fewer than
- * `min_leaf` observations on either side are skipped.
- *
- * @param observations Scratch buffer of observations; sorted in place.
- * @param node_sd      Standard deviation of the target over the node
- *                     (the caller's convention; it only shifts SDR by
- *                     a constant and never changes the argmax).
- * @param min_leaf     Minimum observations per side (>= 1).
- */
-SplitCandidate findBestSdrSplit(std::vector<SplitObservation> &observations,
-                                double node_sd, std::size_t min_leaf);
-
-/**
  * One attribute's working set for the presorted tree builder: the
  * node's attribute values sorted ascending (equal values in ascending
  * row order), the matching targets, and the matching row ids — three
@@ -93,16 +67,17 @@ struct PresortedColumn
 };
 
 /**
- * Presorted variant of findBestSdrSplit — the O(n) per-node fast
- * path. `values` / `targets` are one node's slice of a
- * PresortedColumn: already sorted by value (stably: equal values in
- * ascending row order). No sorting happens here; the sweep is a
- * single linear pass over the two arrays.
+ * Find the best SDR boundary of one attribute over one node's slice
+ * of a PresortedColumn: `values` already sorted ascending (stably:
+ * equal values in ascending row order) and `targets` aligned with
+ * them. One linear pass scans every boundary between distinct values
+ * with prefix sums of the target and its square; boundaries leaving
+ * fewer than `min_leaf` observations on either side are skipped.
  *
- * Bit-compatibility contract (pinned by the builder-equivalence
- * property test): on the same logical observations this returns
- * exactly the result of findBestSdrSplit, because both funnel into
- * one shared sweep and the orderings agree including ties.
+ * @param node_sd  Standard deviation of the target over the node
+ *                 (the caller's convention; it only shifts SDR by a
+ *                 constant and never changes the argmax).
+ * @param min_leaf Minimum observations per side (>= 1).
  */
 SplitCandidate findBestSdrSplitPresorted(std::span<const double> values,
                                          std::span<const double> targets,

@@ -234,8 +234,6 @@ appendCollectionConfig(KeyBuilder &key, const CollectionConfig &config)
 void
 appendSuiteModelConfig(KeyBuilder &key, const SuiteModelConfig &config)
 {
-    // config.tree.builder is deliberately not hashed: every builder
-    // produces byte-identical trees (builder-equivalence test).
     key.f64(config.trainFraction)
         .str(config.target)
         .u64(config.tree.minLeafInstances)

@@ -106,9 +106,9 @@ std::vector<ArtifactId>
 collectShardArtifacts(const SuiteProfile &suite,
                       const CollectionConfig &config);
 
-/** Key of a trained suite model. `builder` is deliberately excluded
- * from the model-config encoding: all builders produce byte-identical
- * trees (pinned by the builder-equivalence test). */
+/** Key of a trained suite model. The thread count is not part of
+ * it: training is byte-identical at any pool size (pinned by the
+ * builder-equivalence test). */
 std::uint64_t trainStageKey(std::uint64_t collectKey,
                             const SuiteModelConfig &config);
 

@@ -70,29 +70,6 @@ percentileInterval(std::vector<double> &replicas, double point,
 } // namespace
 
 ConfidenceInterval
-bootstrapCi(std::span<const double> xs,
-            const std::function<double(std::span<const double>)>
-                &statistic,
-            Rng &rng, std::size_t replicates, double confidence)
-{
-    wct_assert(!xs.empty(), "bootstrap of an empty sample");
-    wct_assert(replicates >= 10, "too few bootstrap replicates");
-    wct_assert(confidence > 0.0 && confidence < 1.0,
-               "confidence out of (0, 1): ", confidence);
-
-    const std::size_t n = xs.size();
-    std::vector<double> replicas = replicateBlocks(
-        n, replicates, rng,
-        [&](const std::vector<std::uint32_t> &idx) {
-            std::vector<double> resample(n);
-            for (std::size_t i = 0; i < n; ++i)
-                resample[i] = xs[idx[i]];
-            return statistic(resample);
-        });
-    return percentileInterval(replicas, statistic(xs), confidence);
-}
-
-ConfidenceInterval
 bootstrapPairedCi(
     std::span<const double> xs, std::span<const double> ys,
     const std::function<double(std::span<const double>,

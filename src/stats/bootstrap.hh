@@ -31,12 +31,6 @@ struct ConfidenceInterval
     /** Interval width. */
     double width() const { return upper - lower; }
 
-    /** True when the whole interval lies strictly above x. */
-    bool entirelyAbove(double x) const { return lower > x; }
-
-    /** True when the whole interval lies strictly below x. */
-    bool entirelyBelow(double x) const { return upper < x; }
-
     /** True when x lies inside the interval (verdict is unstable). */
     bool
     contains(double x) const
@@ -44,19 +38,6 @@ struct ConfidenceInterval
         return x >= lower && x <= upper;
     }
 };
-
-/**
- * Percentile bootstrap for a statistic of one sample.
- *
- * @param xs         Observations.
- * @param statistic  Function of a resampled vector.
- * @param replicates Bootstrap resamples (e.g. 1000).
- * @param confidence Two-sided level in (0, 1), e.g. 0.95.
- */
-ConfidenceInterval bootstrapCi(
-    std::span<const double> xs,
-    const std::function<double(std::span<const double>)> &statistic,
-    Rng &rng, std::size_t replicates = 1000, double confidence = 0.95);
 
 /**
  * Percentile bootstrap for a statistic of paired observations

@@ -39,20 +39,6 @@ sampleStddev(std::span<const double> xs)
 }
 
 double
-populationVariance(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    const double m = mean(xs);
-    double ss = 0.0;
-    for (double x : xs) {
-        const double d = x - m;
-        ss += d * d;
-    }
-    return ss / static_cast<double>(xs.size());
-}
-
-double
 median(std::span<const double> xs)
 {
     return quantile(xs, 0.5);
@@ -100,74 +86,6 @@ pearsonCorrelation(std::span<const double> xs, std::span<const double> ys)
         return 0.0;
     // Rounding on near-collinear data can push |r| past 1.
     return std::clamp(cov / (sx * sy), -1.0, 1.0);
-}
-
-void
-RunningStats::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    const double delta = x - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (x - mean_);
-}
-
-void
-RunningStats::merge(const RunningStats &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double total = n1 + n2;
-    mean_ += delta * n2 / total;
-    m2_ += other.m2_ + delta * delta * n1 * n2 / total;
-    count_ += other.count_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-}
-
-double
-RunningStats::sampleVariance() const
-{
-    return count_ > 1 ? m2_ / static_cast<double>(count_ - 1) : 0.0;
-}
-
-double
-RunningStats::populationVariance() const
-{
-    return count_ > 0 ? m2_ / static_cast<double>(count_) : 0.0;
-}
-
-double
-RunningStats::sampleStddev() const
-{
-    return std::sqrt(sampleVariance());
-}
-
-double
-RunningStats::min() const
-{
-    wct_assert(count_ > 0, "min of empty accumulator");
-    return min_;
-}
-
-double
-RunningStats::max() const
-{
-    wct_assert(count_ > 0, "max of empty accumulator");
-    return max_;
 }
 
 } // namespace wct

@@ -22,9 +22,9 @@ namespace wct
  * tests/prop/descriptive_prop_test.cc):
  *
  *  - Empty input is a caller bug for estimators with no meaningful
- *    value (mean, quantile, median, RunningStats::min/max): they
- *    panic. Variance-style estimators return 0 for degenerate sizes
- *    so single-sample nodes never divide by zero.
+ *    value (mean, quantile, median): they panic. Variance-style
+ *    estimators return 0 for degenerate sizes so single-sample nodes
+ *    never divide by zero.
  *  - NaN observations propagate through the moment-based estimators
  *    (mean, variance, covariance) following IEEE semantics, but the
  *    order-statistic estimators (median, quantile) panic: sorting a
@@ -40,9 +40,6 @@ double sampleVariance(std::span<const double> xs);
 
 /** Square root of sampleVariance. */
 double sampleStddev(std::span<const double> xs);
-
-/** Population variance (divides by n); zero for empty input. */
-double populationVariance(std::span<const double> xs);
 
 /** Median (copies and sorts); panics on empty or NaN input. */
 double median(std::span<const double> xs);
@@ -67,46 +64,6 @@ double sampleCovariance(std::span<const double> xs,
  */
 double pearsonCorrelation(std::span<const double> xs,
                           std::span<const double> ys);
-
-/**
- * Single-pass accumulator (Welford) for streaming mean/variance,
- * used by the interval collector and by tree training.
- *
- * Differentially tested against the two-pass textbook estimators
- * over randomized inputs (tests/prop/descriptive_prop_test.cc). A
- * NaN observation permanently poisons mean and variance (IEEE
- * propagation); min/max panic on an empty accumulator.
- */
-class RunningStats
-{
-  public:
-    /** Fold one observation into the accumulator. */
-    void add(double x);
-
-    /** Merge another accumulator (parallel Welford combination). */
-    void merge(const RunningStats &other);
-
-    std::size_t count() const { return count_; }
-    double mean() const { return mean_; }
-
-    /** Unbiased sample variance; zero for count < 2. */
-    double sampleVariance() const;
-
-    /** Population variance; zero for count < 1. */
-    double populationVariance() const;
-
-    double sampleStddev() const;
-    double min() const;
-    double max() const;
-    double sum() const { return mean_ * static_cast<double>(count_); }
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace wct
 

@@ -92,94 +92,10 @@ normalCdf(double z)
 }
 
 double
-normalQuantile(double p)
-{
-    wct_assert(p > 0.0 && p < 1.0, "normalQuantile needs p in (0,1)");
-
-    // Acklam's rational approximation.
-    static const double a[] = {
-        -3.969683028665376e+01, 2.209460984245205e+02,
-        -2.759285104469687e+02, 1.383577518672690e+02,
-        -3.066479806614716e+01, 2.506628277459239e+00,
-    };
-    static const double b[] = {
-        -5.447609879822406e+01, 1.615858368580409e+02,
-        -1.556989798598866e+02, 6.680131188771972e+01,
-        -1.328068155288572e+01,
-    };
-    static const double c[] = {
-        -7.784894002430293e-03, -3.223964580411365e-01,
-        -2.400758277161838e+00, -2.549732539343734e+00,
-        4.374664141464968e+00, 2.938163982698783e+00,
-    };
-    static const double d[] = {
-        7.784695709041462e-03, 3.224671290700398e-01,
-        2.445134137142996e+00, 3.754408661907416e+00,
-    };
-    constexpr double p_low = 0.02425;
-
-    double x;
-    if (p < p_low) {
-        const double q = std::sqrt(-2.0 * std::log(p));
-        x = (((((c[0]*q + c[1])*q + c[2])*q + c[3])*q + c[4])*q + c[5]) /
-            ((((d[0]*q + d[1])*q + d[2])*q + d[3])*q + 1.0);
-    } else if (p <= 1.0 - p_low) {
-        const double q = p - 0.5;
-        const double r = q * q;
-        x = (((((a[0]*r + a[1])*r + a[2])*r + a[3])*r + a[4])*r + a[5])*q /
-            (((((b[0]*r + b[1])*r + b[2])*r + b[3])*r + b[4])*r + 1.0);
-    } else {
-        const double q = std::sqrt(-2.0 * std::log1p(-p));
-        x = -(((((c[0]*q + c[1])*q + c[2])*q + c[3])*q + c[4])*q + c[5]) /
-            ((((d[0]*q + d[1])*q + d[2])*q + d[3])*q + 1.0);
-    }
-
-    // One Halley refinement step against the accurate CDF.
-    const double e = normalCdf(x) - p;
-    const double u = e * std::sqrt(2.0 * M_PI) * std::exp(x * x / 2.0);
-    x = x - u / (1.0 + x * u / 2.0);
-    return x;
-}
-
-double
-studentTCdf(double t, double df)
-{
-    wct_assert(df > 0.0, "studentTCdf needs df > 0");
-    if (std::isinf(t))
-        return t > 0 ? 1.0 : 0.0;
-    const double x = df / (df + t * t);
-    const double tail = 0.5 * incompleteBeta(df / 2.0, 0.5, x);
-    return t >= 0.0 ? 1.0 - tail : tail;
-}
-
-double
 studentTTwoSidedP(double t, double df)
 {
     const double x = df / (df + t * t);
     return incompleteBeta(df / 2.0, 0.5, x);
-}
-
-double
-studentTQuantile(double p, double df)
-{
-    wct_assert(p > 0.0 && p < 1.0, "studentTQuantile needs p in (0,1)");
-    // Bracket using the normal quantile (t has heavier tails).
-    double lo = -1.0;
-    double hi = 1.0;
-    while (studentTCdf(lo, df) > p)
-        lo *= 2.0;
-    while (studentTCdf(hi, df) < p)
-        hi *= 2.0;
-    for (int i = 0; i < 200; ++i) {
-        const double mid = 0.5 * (lo + hi);
-        if (studentTCdf(mid, df) < p)
-            lo = mid;
-        else
-            hi = mid;
-        if (hi - lo < 1e-12 * std::max(1.0, std::fabs(hi)))
-            break;
-    }
-    return 0.5 * (lo + hi);
 }
 
 double

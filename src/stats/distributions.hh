@@ -20,23 +20,8 @@ double incompleteBeta(double a, double b, double x);
 /** Standard normal cumulative distribution function. */
 double normalCdf(double z);
 
-/**
- * Standard normal quantile (inverse CDF) via the Acklam rational
- * approximation with one Halley refinement step; p in (0, 1).
- */
-double normalQuantile(double p);
-
-/** Student-t cumulative distribution function with df > 0. */
-double studentTCdf(double t, double df);
-
 /** Two-sided p-value for a t statistic. */
 double studentTTwoSidedP(double t, double df);
-
-/**
- * Student-t quantile: the critical value c with P(T <= c) = p,
- * found by bisection on the CDF (monotone, robust).
- */
-double studentTQuantile(double p, double df);
 
 /** Fisher F cumulative distribution function with d1, d2 > 0. */
 double fisherFCdf(double f, double d1, double d2);

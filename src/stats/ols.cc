@@ -7,18 +7,6 @@
 namespace wct
 {
 
-double
-OlsFit::predict(std::span<const double> x) const
-{
-    wct_assert(x.size() >= coefficients.size(),
-               "predictor row too narrow: ", x.size(), " < ",
-               coefficients.size());
-    double y = intercept;
-    for (std::size_t j = 0; j < coefficients.size(); ++j)
-        y += coefficients[j] * x[j];
-    return y;
-}
-
 bool
 choleskySolveInPlace(std::vector<double> &a, std::vector<double> &b,
                      std::size_t n)
@@ -58,113 +46,6 @@ choleskySolveInPlace(std::vector<double> &a, std::vector<double> &b,
         b[i] = sum / a[i * n + i];
     }
     return true;
-}
-
-OlsFit
-fitOls(const std::vector<std::span<const double>> &rows,
-       std::span<const double> y, double ridge)
-{
-    wct_assert(rows.size() == y.size(),
-               "OLS rows/targets mismatch: ", rows.size(), " vs ",
-               y.size());
-    wct_assert(!rows.empty(), "OLS needs at least one observation");
-    wct_assert(ridge >= 0.0, "negative ridge ", ridge);
-
-    const std::size_t p = rows.front().size();
-    const std::size_t dim = p + 1; // intercept first
-    const std::size_t n = rows.size();
-
-    // Accumulate the normal equations: G = X'X, rhs = X'y, with the
-    // implicit leading 1 column for the intercept.
-    std::vector<double> gram(dim * dim, 0.0);
-    std::vector<double> rhs(dim, 0.0);
-    for (std::size_t r = 0; r < n; ++r) {
-        const auto &x = rows[r];
-        wct_assert(x.size() == p, "ragged OLS input at row ", r);
-        gram[0] += 1.0;
-        rhs[0] += y[r];
-        for (std::size_t i = 0; i < p; ++i) {
-            gram[(i + 1) * dim] += x[i];
-            rhs[i + 1] += x[i] * y[r];
-            for (std::size_t j = 0; j <= i; ++j)
-                gram[(i + 1) * dim + (j + 1)] += x[i] * x[j];
-        }
-    }
-    // Mirror the lower triangle.
-    for (std::size_t i = 0; i < dim; ++i)
-        for (std::size_t j = i + 1; j < dim; ++j)
-            gram[i * dim + j] = gram[j * dim + i];
-
-    // Scale the ridge with the average predictor energy so the same
-    // nominal value works across very differently scaled columns.
-    double diag_scale = 0.0;
-    for (std::size_t i = 1; i < dim; ++i)
-        diag_scale += gram[i * dim + i];
-    diag_scale = p > 0 ? diag_scale / static_cast<double>(p) : 1.0;
-    if (diag_scale <= 0.0)
-        diag_scale = 1.0;
-
-    std::vector<double> solution;
-    double lambda = ridge;
-    constexpr int max_escalations = 12;
-    for (int attempt = 0; ; ++attempt) {
-        std::vector<double> a = gram;
-        std::vector<double> b(rhs.begin(), rhs.end());
-        for (std::size_t i = 1; i < dim; ++i)
-            a[i * dim + i] += lambda * diag_scale;
-        if (choleskySolveInPlace(a, b, dim)) {
-            solution = std::move(b);
-            break;
-        }
-        if (attempt >= max_escalations)
-            wct_fatal("OLS normal equations unsolvable even with ridge ",
-                      lambda);
-        lambda = lambda == 0.0 ? 1e-10 : lambda * 10.0;
-    }
-
-    OlsFit fit;
-    fit.numObservations = n;
-    fit.intercept = solution[0];
-    fit.coefficients.assign(solution.begin() + 1, solution.end());
-
-    double rss = 0.0;
-    double abs_err = 0.0;
-    double y_mean = 0.0;
-    for (std::size_t r = 0; r < n; ++r)
-        y_mean += y[r];
-    y_mean /= static_cast<double>(n);
-    double tss = 0.0;
-    for (std::size_t r = 0; r < n; ++r) {
-        const double e = fit.predict(rows[r]) - y[r];
-        rss += e * e;
-        abs_err += std::fabs(e);
-        tss += (y[r] - y_mean) * (y[r] - y_mean);
-    }
-    fit.residualSumSquares = rss;
-    fit.meanAbsoluteError = abs_err / static_cast<double>(n);
-    fit.rSquared = tss > 0.0 ? 1.0 - rss / tss : (rss == 0.0 ? 1.0 : 0.0);
-    return fit;
-}
-
-OlsFit
-fitOlsColumns(const std::vector<std::vector<double>> &predictors,
-              std::span<const double> y, double ridge)
-{
-    const std::size_t n = y.size();
-    for (const auto &col : predictors)
-        wct_assert(col.size() == n, "predictor column length mismatch");
-
-    std::vector<double> packed(n * predictors.size());
-    for (std::size_t r = 0; r < n; ++r)
-        for (std::size_t j = 0; j < predictors.size(); ++j)
-            packed[r * predictors.size() + j] = predictors[j][r];
-
-    std::vector<std::span<const double>> rows;
-    rows.reserve(n);
-    for (std::size_t r = 0; r < n; ++r)
-        rows.emplace_back(packed.data() + r * predictors.size(),
-                          predictors.size());
-    return fitOls(rows, y, ridge);
 }
 
 } // namespace wct

@@ -1,76 +1,32 @@
 /**
  * @file
- * Ordinary least squares regression with an intercept, solved by
- * Cholesky factorization of ridge-stabilised normal equations.
- *
- * This is the workhorse under every model-tree leaf: small systems
- * (at most ~20 predictors, Table I) fitted many times, so a dense
- * normal-equation solve is both adequate and fast.
+ * Dense Cholesky solve of the ridge-stabilised normal equations under
+ * every least-squares fit in the codebase: the model-tree leaf models
+ * and the global linear-regression baseline fit through
+ * GramAccumulator (mtree/linear_model.hh), which calls this kernel.
+ * Small systems (at most ~20 predictors, Table I) fitted many times,
+ * so a dense normal-equation solve is both adequate and fast.
  */
 
 #ifndef WCT_STATS_OLS_HH
 #define WCT_STATS_OLS_HH
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace wct
 {
 
-/** A fitted linear function y = intercept + coeffs . x. */
-struct OlsFit
-{
-    double intercept = 0.0;
-    std::vector<double> coefficients;
-
-    /** Number of observations used in the fit. */
-    std::size_t numObservations = 0;
-
-    /** Residual sum of squares on the training data. */
-    double residualSumSquares = 0.0;
-
-    /** Mean absolute training error. */
-    double meanAbsoluteError = 0.0;
-
-    /** Coefficient of determination on the training data. */
-    double rSquared = 0.0;
-
-    /** Evaluate the fitted function on a predictor row. */
-    double predict(std::span<const double> x) const;
-};
-
 /**
  * Dense symmetric positive definite solver (in-place Cholesky).
- * Exposed for testing; returns false when the matrix is not positive
- * definite even after the caller's ridge adjustment.
+ * Returns false when the matrix is not positive definite even after
+ * the caller's ridge adjustment.
  *
  * @param a Row-major n x n symmetric matrix (destroyed).
  * @param b Right-hand side (replaced by the solution).
  */
 bool choleskySolveInPlace(std::vector<double> &a, std::vector<double> &b,
                           std::size_t n);
-
-/**
- * Fit y = b0 + B . x by least squares.
- *
- * @param rows      Predictor rows, all of equal width.
- * @param y         Targets, one per row.
- * @param ridge     Nonnegative Tikhonov term added to the predictor
- *                  diagonal (never to the intercept); the default
- *                  covers rank deficiency from constant columns.
- *                  The solver escalates the ridge by 10x up to a
- *                  bounded number of times if factorization fails.
- */
-OlsFit fitOls(const std::vector<std::span<const double>> &rows,
-              std::span<const double> y, double ridge = 1e-8);
-
-/**
- * Convenience overload for column-major input: predictors[j] is the
- * j-th predictor column.
- */
-OlsFit fitOlsColumns(const std::vector<std::vector<double>> &predictors,
-                     std::span<const double> y, double ridge = 1e-8);
 
 } // namespace wct
 

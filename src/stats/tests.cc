@@ -48,34 +48,6 @@ pooledTTestFromMoments(double mean1, double var1, std::size_t n1,
 }
 
 TestResult
-welchTTest(std::span<const double> xs, std::span<const double> ys)
-{
-    wct_assert(xs.size() >= 2 && ys.size() >= 2,
-               "t-test needs at least two observations per sample");
-    const double n1 = static_cast<double>(xs.size());
-    const double n2 = static_cast<double>(ys.size());
-    const double v1 = sampleVariance(xs) / n1;
-    const double v2 = sampleVariance(ys) / n2;
-
-    TestResult r;
-    r.stderror = std::sqrt(v1 + v2);
-    if (r.stderror == 0.0) {
-        const bool same = mean(xs) == mean(ys);
-        r.statistic = same
-            ? 0.0 : std::numeric_limits<double>::infinity();
-        r.df = n1 + n2 - 2.0;
-        r.pValue = same ? 1.0 : 0.0;
-        return r;
-    }
-    // Welch-Satterthwaite degrees of freedom.
-    r.df = (v1 + v2) * (v1 + v2) /
-        (v1 * v1 / (n1 - 1.0) + v2 * v2 / (n2 - 1.0));
-    r.statistic = (mean(xs) - mean(ys)) / r.stderror;
-    r.pValue = studentTTwoSidedP(r.statistic, r.df);
-    return r;
-}
-
-TestResult
 mannWhitneyUTest(std::span<const double> xs, std::span<const double> ys)
 {
     wct_assert(!xs.empty() && !ys.empty(),
@@ -140,59 +112,6 @@ mannWhitneyUTest(std::span<const double> xs, std::span<const double> ys)
     r.stderror = std::sqrt(var_u);
     r.pValue = 2.0 * (1.0 - normalCdf(std::fabs(z)));
     r.pValue = std::clamp(r.pValue, 0.0, 1.0);
-    return r;
-}
-
-TestResult
-ksTest(std::span<const double> xs, std::span<const double> ys)
-{
-    wct_assert(!xs.empty() && !ys.empty(),
-               "KS test needs non-empty samples");
-    std::vector<double> a(xs.begin(), xs.end());
-    std::vector<double> b(ys.begin(), ys.end());
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-
-    // Sweep the merged order tracking the ECDF gap.
-    const double n1 = static_cast<double>(a.size());
-    const double n2 = static_cast<double>(b.size());
-    std::size_t i = 0;
-    std::size_t j = 0;
-    double d = 0.0;
-    while (i < a.size() && j < b.size()) {
-        const double x = std::min(a[i], b[j]);
-        while (i < a.size() && a[i] <= x)
-            ++i;
-        while (j < b.size() && b[j] <= x)
-            ++j;
-        d = std::max(d, std::fabs(static_cast<double>(i) / n1 -
-                                  static_cast<double>(j) / n2));
-    }
-
-    TestResult r;
-    r.statistic = d;
-    r.df = 0.0;
-    if (d <= 0.0) {
-        // Identical ECDFs: the alternating series below does not
-        // converge at lambda = 0; the p-value is exactly 1.
-        r.pValue = 1.0;
-        return r;
-    }
-    // Asymptotic Kolmogorov distribution:
-    // p = 2 sum_{k>=1} (-1)^{k-1} exp(-2 k^2 lambda^2).
-    const double en = std::sqrt(n1 * n2 / (n1 + n2));
-    const double lambda = (en + 0.12 + 0.11 / en) * d;
-    double p = 0.0;
-    double sign = 1.0;
-    for (int k = 1; k <= 100; ++k) {
-        const double term =
-            std::exp(-2.0 * k * k * lambda * lambda);
-        p += sign * term;
-        sign = -sign;
-        if (term < 1e-12)
-            break;
-    }
-    r.pValue = std::clamp(2.0 * p, 0.0, 1.0);
     return r;
 }
 

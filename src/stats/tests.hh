@@ -1,9 +1,9 @@
 /**
  * @file
  * Two-sample hypothesis tests used by the transferability analysis
- * (Section VI-A of the paper): pooled and Welch two-sample t-tests,
- * and the non-parametric alternatives the paper names (Mann-Whitney U
- * and Levene's variance test).
+ * (Section VI-A of the paper): the two-sample t-test of Equations
+ * 8-11, and the non-parametric alternatives the paper names
+ * (Mann-Whitney U and Levene's variance test).
  */
 
 #ifndef WCT_STATS_TESTS_HH
@@ -34,19 +34,14 @@ struct TestResult
 };
 
 /**
- * Two-sample t-test assuming equal variances (pooled estimator).
- * H0: the two populations share a mean.
+ * Two-sample t-test of Section VI-A (Equations 8-11). H0: the two
+ * populations share a mean. The statistic divides the difference of
+ * the means by the unpooled standard error
+ * sqrt(var1/n1 + var2/n2) of Equation 10; the p-value is read at the
+ * pooled n1 + n2 - 2 degrees of freedom.
  */
 TestResult pooledTTest(std::span<const double> xs,
                        std::span<const double> ys);
-
-/**
- * Welch's two-sample t-test (unequal variances); the paper notes the
- * pooled test is robust for its large, similarly sized samples, but
- * Welch is the safer default for library users.
- */
-TestResult welchTTest(std::span<const double> xs,
-                      std::span<const double> ys);
 
 /**
  * Summary-statistics form of the pooled t-test, matching the formulae
@@ -70,15 +65,6 @@ TestResult mannWhitneyUTest(std::span<const double> xs,
  */
 TestResult leveneTest(std::span<const double> xs,
                       std::span<const double> ys);
-
-/**
- * Two-sample Kolmogorov-Smirnov test with the asymptotic p-value.
- * H0: equal distributions (sensitive to any distributional
- * difference, not just location). The statistic is the maximum
- * vertical distance between the empirical CDFs.
- */
-TestResult ksTest(std::span<const double> xs,
-                  std::span<const double> ys);
 
 } // namespace wct
 

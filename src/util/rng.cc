@@ -84,12 +84,6 @@ Rng::normal(double mean, double sd)
 }
 
 double
-Rng::logNormal(double mu, double sigma)
-{
-    return std::exp(normal(mu, sigma));
-}
-
-double
 Rng::exponential(double rate)
 {
     wct_assert(rate > 0.0, "exponential rate must be positive");

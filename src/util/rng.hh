@@ -98,9 +98,6 @@ class Rng
     /** Normal with the given mean and standard deviation. */
     double normal(double mean, double sd);
 
-    /** Log-normal where the underlying normal is N(mu, sigma^2). */
-    double logNormal(double mu, double sigma);
-
     /** Exponential with the given rate (lambda). */
     double exponential(double rate);
 

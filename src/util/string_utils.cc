@@ -50,28 +50,11 @@ join(const std::vector<std::string> &pieces, const std::string &sep)
     return out;
 }
 
-std::string
-toLower(const std::string &text)
-{
-    std::string out = text;
-    for (char &c : out)
-        c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return out;
-}
-
 bool
 startsWith(const std::string &text, const std::string &prefix)
 {
     return text.size() >= prefix.size() &&
         text.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool
-endsWith(const std::string &text, const std::string &suffix)
-{
-    return text.size() >= suffix.size() &&
-        text.compare(text.size() - suffix.size(), suffix.size(),
-                     suffix) == 0;
 }
 
 std::string

@@ -22,14 +22,8 @@ std::string trim(const std::string &text);
 std::string join(const std::vector<std::string> &pieces,
                  const std::string &sep);
 
-/** Lower-case an ASCII string. */
-std::string toLower(const std::string &text);
-
 /** True when text begins with the given prefix. */
 bool startsWith(const std::string &text, const std::string &prefix);
-
-/** True when text ends with the given suffix. */
-bool endsWith(const std::string &text, const std::string &suffix);
 
 /** printf-style double formatting with a fixed precision. */
 std::string formatDouble(double value, int precision);

@@ -7,12 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "cli/cli.hh"
+#include "data/csv.hh"
+#include "data/store_wire.hh"
+#include "mtree/model_tree.hh"
 #include "pipeline/plans.hh"
+#include "serve/socket.hh"
+#include "serve/store_service.hh"
 #include "workload/suites.hh"
 
 namespace wct
@@ -284,6 +291,32 @@ TEST(CliTest, TrainReportsAndSavesModel)
     EXPECT_EQ(magic, "wct-model-tree v1");
 }
 
+TEST(CliTest, TrainDefaultsToTheStandardModelConfig)
+{
+    // Without tree flags, train grows the tree the plans grow: the
+    // suite directory pooled in file-name order, trained with
+    // standardModelConfig().tree.
+    const auto &p = pipeline();
+    TempDir dir("wct_cli_train_standard");
+    EXPECT_EQ(run({"train", "--data", p.data_dir, "--out",
+                   dir.file("model.mtree")}),
+              0);
+
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(p.data_dir))
+        if (entry.path().extension() == ".csv")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_FALSE(files.empty());
+    Dataset pooled = readCsvFile(files.front().string());
+    for (std::size_t i = 1; i < files.size(); ++i)
+        pooled.append(readCsvFile(files[i].string()));
+    std::ostringstream want;
+    ModelTree::train(pooled, "CPI", pipeline::standardModelConfig().tree)
+        .save(want);
+    EXPECT_EQ(slurp(dir.file("model.mtree")), want.str());
+}
+
 TEST(CliTest, ShowPrintsTreeAndDot)
 {
     const auto &p = pipeline();
@@ -461,6 +494,68 @@ TEST(CliTest, CacheLsRmGcManageThePlanArtifacts)
     for (const auto &entry : fs::directory_iterator(cache_dir))
         left += entry.path().extension() == ".wctart";
     EXPECT_EQ(left, 0u);
+}
+
+/** A store daemon's service that counts the List frames it answers. */
+class ListCountingService : public serve::FrameHandler
+{
+  public:
+    explicit ListCountingService(const std::string &dir)
+        : service_(ArtifactStore(dir))
+    {
+    }
+
+    std::string
+    handlePayload(std::string_view payload) override
+    {
+        const auto request = decodeStoreRequest(payload);
+        if (request && request->op == StoreOp::List)
+            ++lists;
+        return service_.handlePayload(payload);
+    }
+
+    std::string
+    malformedResponse(const std::string &reason) override
+    {
+        return service_.malformedResponse(reason);
+    }
+
+    bool shuttingDown() const override { return service_.shuttingDown(); }
+
+    std::atomic<int> lists{0};
+
+  private:
+    serve::StoreService service_;
+};
+
+TEST(CliTest, CacheLsOverAStoreUrlListsOnce)
+{
+    TempDir dir("wct_cli_cache_ls_remote");
+    const ArtifactStore daemon_store(dir.file("daemon"));
+    ASSERT_TRUE(daemon_store.store({"train", 1}, "first"));
+    ASSERT_TRUE(daemon_store.store({"train", 2}, "second"));
+
+    ListCountingService service(dir.file("daemon"));
+    serve::SocketConfig config;
+    config.unixPath = dir.file("store.sock");
+    config.frameMagic = std::string(kStoreWireMagic, 8);
+    config.frameVersion = kStoreWireFormatVersion;
+    config.maxFramePayload = kMaxStoreFramePayload;
+    serve::SocketServer transport(service, config);
+    std::string err;
+    ASSERT_TRUE(transport.start(&err)) << err;
+
+    std::string out;
+    EXPECT_EQ(run({"cache", "ls", "--cache-dir", dir.file("cache"),
+                   "--store-url", "unix:" + config.unixPath},
+                  &out),
+              0);
+    transport.stop();
+    EXPECT_EQ(service.lists.load(), 1);
+    // Two rows and a count line that agrees with them.
+    EXPECT_NE(out.find("train-"), std::string::npos) << out;
+    EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3) << out;
+    EXPECT_NE(out.find("2 artifacts, "), std::string::npos) << out;
 }
 
 TEST(CliDeathTest, UnknownPlanIsFatal)

@@ -219,26 +219,6 @@ TEST(SplitTest, SampleFractionClampsToOneRow)
     EXPECT_EQ(s.numRows(), 1u);
 }
 
-TEST(SplitTest, KFoldCoversAllRows)
-{
-    Dataset d = makeSample(53);
-    Rng rng(17);
-    const auto folds = kFold(d, 5, rng);
-    ASSERT_EQ(folds.size(), 5u);
-    std::size_t total = 0;
-    std::set<double> seen;
-    for (const auto &fold : folds) {
-        total += fold.numRows();
-        for (std::size_t r = 0; r < fold.numRows(); ++r)
-            seen.insert(fold.at(r, 0));
-        // Balanced within one row.
-        EXPECT_GE(fold.numRows(), 10u);
-        EXPECT_LE(fold.numRows(), 11u);
-    }
-    EXPECT_EQ(total, 53u);
-    EXPECT_EQ(seen.size(), 53u);
-}
-
 TEST(SplitTest, DeterministicUnderSeed)
 {
     Dataset d = makeSample(40);

@@ -90,22 +90,6 @@ TEST(SplitTest, DisjointFractionsAreDisjointAndEquallySized)
             << "row " << id << " in both fractions";
 }
 
-TEST(SplitTest, KFoldPartitionsAllRowsEvenly)
-{
-    const Dataset data = labelledData(100);
-    Rng rng(0xf01d);
-    const std::vector<Dataset> folds = kFold(data, 4, rng);
-    ASSERT_EQ(folds.size(), 4u);
-    std::set<double> all;
-    for (const Dataset &fold : folds) {
-        EXPECT_EQ(fold.numRows(), 25u);
-        for (double id : ids(fold))
-            EXPECT_TRUE(all.insert(id).second)
-                << "row " << id << " in two folds";
-    }
-    EXPECT_EQ(all.size(), 100u);
-}
-
 TEST(SplitTest, SameSeedIsDeterministicDifferentSeedIsNot)
 {
     const Dataset data = labelledData(120);

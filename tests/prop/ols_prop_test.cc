@@ -1,16 +1,20 @@
 /**
  * @file
- * Differential properties of the Cholesky/normal-equation OLS solver
- * (stats/ols) against closed-form Cramer's-rule oracles, plus the
- * intercept/residual identities every least-squares fit must satisfy.
+ * Differential properties of the least-squares fit every leaf model
+ * runs, GramAccumulator::fitSubset (mtree/linear_model: accumulated
+ * normal equations, ridge-stabilised Cholesky), against closed-form
+ * Cramer's-rule oracles, plus the intercept/residual identities every
+ * least-squares fit must satisfy.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <utility>
 #include <vector>
 
-#include "stats/ols.hh"
+#include "mtree/linear_model.hh"
 #include "tests/support/oracles.hh"
 #include "tests/support/prop.hh"
 
@@ -34,6 +38,28 @@ shapeWithPredictors(std::size_t predictors)
     return shape;
 }
 
+/**
+ * Fit the target (the last column) on `predictors` (dataset column
+ * indices, in this candidate order) over every row.
+ */
+LinearModel
+fitColumns(const Dataset &data, std::vector<std::size_t> predictors,
+           double *rss = nullptr)
+{
+    GramAccumulator gram(std::move(predictors),
+                         data.numColumns() - 1);
+    std::vector<std::size_t> rows(data.numRows());
+    std::iota(rows.begin(), rows.end(), std::size_t(0));
+    gram.addRows(data, rows);
+    std::vector<std::size_t> all(gram.attributes().size());
+    std::iota(all.begin(), all.end(), std::size_t(0));
+    double fit_rss = 0.0;
+    LinearModel model = gram.fitSubset(all, fit_rss);
+    if (rss != nullptr)
+        *rss = fit_rss;
+    return model;
+}
+
 bool
 close(double a, double b, double rel)
 {
@@ -52,10 +78,10 @@ TEST(OlsProp, OnePredictorMatchesClosedForm)
             const auto want = oracle::ols1(x, y);
             if (!want)
                 return std::nullopt; // constant predictor
-            // Explicit ridge 0: on well-conditioned data the solver
-            // must not need stabilisation, so the comparison is
-            // against the exact least-squares solution.
-            const OlsFit got = fitOlsColumns({x}, y, 0.0);
+            // The ridge starts at 1e-9 of the mean predictor energy,
+            // far below the tolerance: on well-conditioned data the
+            // fit is the exact least-squares solution.
+            const LinearModel got = fitColumns(data, {0});
             if (!close(got.intercept, want->b0, 1e-6))
                 return "intercept " + prop::showDouble(got.intercept) +
                     " vs oracle " + prop::showDouble(want->b0);
@@ -81,7 +107,7 @@ TEST(OlsProp, TwoPredictorsMatchClosedForm)
             const auto want = oracle::ols2(x1, x2, y);
             if (!want)
                 return std::nullopt; // near-singular system
-            const OlsFit got = fitOlsColumns({x1, x2}, y, 0.0);
+            const LinearModel got = fitColumns(data, {0, 1});
             if (!close(got.intercept, want->b0, 1e-6))
                 return "intercept " + prop::showDouble(got.intercept) +
                     " vs oracle " + prop::showDouble(want->b0);
@@ -112,35 +138,35 @@ TEST(OlsProp, FitPassesThroughCentroidWithZeroResidualSum)
         config, prop::datasets(shape),
         [](const Dataset &data) -> std::optional<std::string> {
             const std::size_t p = data.numColumns() - 1;
-            std::vector<std::vector<double>> columns;
-            for (std::size_t c = 0; c < p; ++c)
-                columns.push_back(data.column(c));
+            std::vector<std::size_t> predictors(p);
+            std::iota(predictors.begin(), predictors.end(),
+                      std::size_t(0));
+            double rss = 0.0;
+            const LinearModel fit = fitColumns(data, predictors, &rss);
             const std::vector<double> y = data.column("y");
-            const OlsFit fit = fitOlsColumns(columns, y, 0.0);
-
-            if (fit.residualSumSquares < 0.0)
-                return "negative RSS " +
-                    prop::showDouble(fit.residualSumSquares);
-            if (fit.rSquared > 1.0 + 1e-9)
-                return "R^2 " + prop::showDouble(fit.rSquared);
-
-            std::vector<double> centroid(p);
-            for (std::size_t c = 0; c < p; ++c)
-                centroid[c] = oracle::meanTwoPass(columns[c]);
-            const double at_centroid = fit.predict(centroid);
             const double y_mean = oracle::meanTwoPass(y);
+
+            if (rss < 0.0)
+                return "negative RSS " + prop::showDouble(rss);
+            double tss = 0.0;
+            for (double v : y)
+                tss += (v - y_mean) * (v - y_mean);
+            const double r_squared = tss > 0.0 ? 1.0 - rss / tss : 1.0;
+            if (r_squared > 1.0 + 1e-9)
+                return "R^2 " + prop::showDouble(r_squared);
+
+            std::vector<double> centroid(data.numColumns(), 0.0);
+            for (std::size_t c = 0; c < p; ++c)
+                centroid[c] = oracle::meanTwoPass(data.column(c));
+            const double at_centroid = fit.predict(centroid);
             if (!close(at_centroid, y_mean, 1e-6))
                 return "predict(centroid) " +
                     prop::showDouble(at_centroid) + " vs mean(y) " +
                     prop::showDouble(y_mean);
 
             double residual_sum = 0.0;
-            for (std::size_t r = 0; r < data.numRows(); ++r) {
-                std::vector<double> row(p);
-                for (std::size_t c = 0; c < p; ++c)
-                    row[c] = data.at(r, c);
-                residual_sum += y[r] - fit.predict(row);
-            }
+            for (std::size_t r = 0; r < data.numRows(); ++r)
+                residual_sum += y[r] - fit.predict(data.row(r));
             if (std::abs(residual_sum) >
                 1e-6 * static_cast<double>(data.numRows()))
                 return "residual sum " +
@@ -158,16 +184,11 @@ TEST(OlsProp, PredictionInvariantUnderPredictorOrder)
     const CheckResult result = prop::check<Dataset>(
         config, prop::datasets(shapeWithPredictors(2)),
         [](const Dataset &data) -> std::optional<std::string> {
-            const std::vector<double> x1 = data.column("x0");
-            const std::vector<double> x2 = data.column("x1");
-            const std::vector<double> y = data.column("y");
-            const OlsFit forward = fitOlsColumns({x1, x2}, y, 0.0);
-            const OlsFit swapped = fitOlsColumns({x2, x1}, y, 0.0);
-            for (std::size_t r = 0; r < y.size(); ++r) {
-                const double a =
-                    forward.predict(std::vector<double>{x1[r], x2[r]});
-                const double b =
-                    swapped.predict(std::vector<double>{x2[r], x1[r]});
+            const LinearModel forward = fitColumns(data, {0, 1});
+            const LinearModel swapped = fitColumns(data, {1, 0});
+            for (std::size_t r = 0; r < data.numRows(); ++r) {
+                const double a = forward.predict(data.row(r));
+                const double b = swapped.predict(data.row(r));
                 if (!close(a, b, 1e-6))
                     return "row " + std::to_string(r) +
                         " prediction " + prop::showDouble(a) +

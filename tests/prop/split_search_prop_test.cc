@@ -1,7 +1,11 @@
 /**
  * @file
  * Differential and metamorphic properties of the prefix-sum SDR split
- * search (mtree/split_search) against the exhaustive O(n^2) oracle.
+ * search the tree builder runs, findBestSdrSplitPresorted
+ * (mtree/split_search), against the exhaustive O(n^2) oracle. Each
+ * generated node reaches the kernel through oracle::sortedNodeSplit,
+ * which stably sorts it by value as the builder's presorted columns
+ * are.
  */
 
 #include <gtest/gtest.h>
@@ -11,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "mtree/split_search.hh"
 #include "tests/support/oracles.hh"
 #include "tests/support/prop.hh"
 
@@ -23,19 +26,21 @@ namespace
 using prop::CheckResult;
 using prop::Config;
 using prop::Gen;
+using oracle::Observation;
+using oracle::sortedNodeSplit;
 
 /** Population sd of the targets, the node_sd input of the search. */
 double
-targetSd(const std::vector<SplitObservation> &observations)
+targetSd(const std::vector<Observation> &observations)
 {
     if (observations.empty())
         return 0.0;
     double sum = 0.0;
-    for (const SplitObservation &obs : observations)
+    for (const Observation &obs : observations)
         sum += obs.target;
     const double mean = sum / static_cast<double>(observations.size());
     double ss = 0.0;
-    for (const SplitObservation &obs : observations)
+    for (const Observation &obs : observations)
         ss += (obs.target - mean) * (obs.target - mean);
     return std::sqrt(ss / static_cast<double>(observations.size()));
 }
@@ -46,18 +51,18 @@ targetSd(const std::vector<SplitObservation> &observations)
  * must skip), and targets follow a noisy step so there is a split
  * worth finding.
  */
-Gen<std::vector<SplitObservation>>
+Gen<std::vector<Observation>>
 observationLists()
 {
-    Gen<std::vector<SplitObservation>> gen;
+    Gen<std::vector<Observation>> gen;
     gen.generate = [](Rng &rng) {
         const std::size_t n = 2 + rng.uniformInt(119);
         const bool grid = rng.bernoulli(0.5);
         const double step_at = rng.uniform(-4.0, 4.0);
         const double low = rng.uniform(-4.0, 4.0);
         const double high = low + rng.uniform(-4.0, 4.0);
-        std::vector<SplitObservation> observations(n);
-        for (SplitObservation &obs : observations) {
+        std::vector<Observation> observations(n);
+        for (Observation &obs : observations) {
             double value = rng.uniform(-8.0, 8.0);
             if (grid)
                 value = std::round(value);
@@ -67,8 +72,8 @@ observationLists()
         }
         return observations;
     };
-    gen.shrink = [](const std::vector<SplitObservation> &observations) {
-        std::vector<std::vector<SplitObservation>> candidates;
+    gen.shrink = [](const std::vector<Observation> &observations) {
+        std::vector<std::vector<Observation>> candidates;
         const std::size_t n = observations.size();
         if (n >= 4) {
             candidates.emplace_back(observations.begin() + n / 2,
@@ -78,7 +83,7 @@ observationLists()
         }
         if (n > 2 && n <= 24) {
             for (std::size_t i = 0; i < n; ++i) {
-                std::vector<SplitObservation> fewer = observations;
+                std::vector<Observation> fewer = observations;
                 fewer.erase(fewer.begin() +
                             static_cast<std::ptrdiff_t>(i));
                 candidates.push_back(std::move(fewer));
@@ -86,7 +91,7 @@ observationLists()
         }
         return candidates;
     };
-    gen.show = [](const std::vector<SplitObservation> &observations) {
+    gen.show = [](const std::vector<Observation> &observations) {
         std::string out =
             "[" + std::to_string(observations.size()) + "]{";
         const std::size_t shown =
@@ -106,13 +111,12 @@ observationLists()
 
 /** One differential trial at a given min_leaf. */
 std::optional<std::string>
-differential(const std::vector<SplitObservation> &observations,
+differential(const std::vector<Observation> &observations,
              std::size_t min_leaf)
 {
     const double node_sd = targetSd(observations);
-    std::vector<SplitObservation> scratch = observations;
     const SplitCandidate fast =
-        findBestSdrSplit(scratch, node_sd, min_leaf);
+        sortedNodeSplit(observations, node_sd, min_leaf);
     const SplitCandidate slow =
         oracle::bestSdrSplitExhaustive(observations, node_sd, min_leaf);
 
@@ -131,7 +135,7 @@ differential(const std::vector<SplitObservation> &observations,
     // the lowest value, so a differing split value is only acceptable
     // for an FP near-tie, which the SDR comparison already bounds.
     double max_abs_target = 0.0;
-    for (const SplitObservation &obs : observations)
+    for (const Observation &obs : observations)
         max_abs_target = std::max(max_abs_target,
                                   std::abs(obs.target));
     const double tol = 1e-7 * (1.0 + max_abs_target);
@@ -147,9 +151,9 @@ TEST(SplitSearchProp, MatchesExhaustiveOracle)
     for (const std::size_t min_leaf : {std::size_t{1}, std::size_t{2},
                                        std::size_t{5}}) {
         const CheckResult result =
-            prop::check<std::vector<SplitObservation>>(
+            prop::check<std::vector<Observation>>(
                 config, observationLists(),
-                [min_leaf](const std::vector<SplitObservation> &obs) {
+                [min_leaf](const std::vector<Observation> &obs) {
                     return differential(obs, min_leaf);
                 });
         WCT_EXPECT_PROP(result, config);
@@ -160,14 +164,13 @@ TEST(SplitSearchProp, SdrBoundedByNodeSd)
 {
     const Config config = Config::fromEnv(0xb0d5, 100);
     const CheckResult result =
-        prop::check<std::vector<SplitObservation>>(
+        prop::check<std::vector<Observation>>(
             config, observationLists(),
-            [](const std::vector<SplitObservation> &observations)
+            [](const std::vector<Observation> &observations)
                 -> std::optional<std::string> {
                 const double node_sd = targetSd(observations);
-                std::vector<SplitObservation> scratch = observations;
                 const SplitCandidate cand =
-                    findBestSdrSplit(scratch, node_sd, 1);
+                    sortedNodeSplit(observations, node_sd, 1);
                 if (!cand.valid)
                     return std::nullopt;
                 if (cand.sdr < -1e-12)
@@ -186,19 +189,18 @@ TEST(SplitSearchProp, RespectsMinLeaf)
 {
     const Config config = Config::fromEnv(0x1eaf, 100);
     const CheckResult result =
-        prop::check<std::vector<SplitObservation>>(
+        prop::check<std::vector<Observation>>(
             config, observationLists(),
-            [](const std::vector<SplitObservation> &observations)
+            [](const std::vector<Observation> &observations)
                 -> std::optional<std::string> {
                 const std::size_t min_leaf = 3;
                 const double node_sd = targetSd(observations);
-                std::vector<SplitObservation> scratch = observations;
                 const SplitCandidate cand =
-                    findBestSdrSplit(scratch, node_sd, min_leaf);
+                    sortedNodeSplit(observations, node_sd, min_leaf);
                 if (!cand.valid)
                     return std::nullopt;
                 std::size_t left = 0;
-                for (const SplitObservation &obs : observations)
+                for (const Observation &obs : observations)
                     left += obs.value <= cand.value;
                 if (left != cand.leftCount)
                     return "leftCount " +
@@ -221,20 +223,19 @@ TEST(SplitSearchProp, TargetShiftLeavesSplitInvariant)
     // constant must keep the chosen split and its SDR (metamorphic).
     const Config config = Config::fromEnv(0x5417, 100);
     const CheckResult result =
-        prop::check<std::vector<SplitObservation>>(
+        prop::check<std::vector<Observation>>(
             config, observationLists(),
-            [](const std::vector<SplitObservation> &observations)
+            [](const std::vector<Observation> &observations)
                 -> std::optional<std::string> {
                 const double node_sd = targetSd(observations);
-                std::vector<SplitObservation> scratch = observations;
                 const SplitCandidate base =
-                    findBestSdrSplit(scratch, node_sd, 1);
+                    sortedNodeSplit(observations, node_sd, 1);
 
-                std::vector<SplitObservation> shifted = observations;
-                for (SplitObservation &obs : shifted)
+                std::vector<Observation> shifted = observations;
+                for (Observation &obs : shifted)
                     obs.target += 100.0;
                 const SplitCandidate moved =
-                    findBestSdrSplit(shifted, node_sd, 1);
+                    sortedNodeSplit(shifted, node_sd, 1);
 
                 if (base.valid != moved.valid)
                     return "validity changed under target shift";
@@ -258,21 +259,18 @@ TEST(SplitSearchProp, TargetShiftLeavesSplitInvariant)
 
 TEST(SplitSearchProp, DegenerateInputsAreInvalid)
 {
-    std::vector<SplitObservation> empty;
-    EXPECT_FALSE(findBestSdrSplit(empty, 1.0, 1).valid);
-
-    std::vector<SplitObservation> single{{1.0, 2.0}};
-    EXPECT_FALSE(findBestSdrSplit(single, 1.0, 1).valid);
+    EXPECT_FALSE(sortedNodeSplit({}, 1.0, 1).valid);
+    EXPECT_FALSE(sortedNodeSplit({{1.0, 2.0}}, 1.0, 1).valid);
 
     // A constant attribute offers no boundary.
-    std::vector<SplitObservation> constant{
-        {3.0, 1.0}, {3.0, 5.0}, {3.0, 9.0}};
-    EXPECT_FALSE(findBestSdrSplit(constant, 1.0, 1).valid);
+    EXPECT_FALSE(
+        sortedNodeSplit({{3.0, 1.0}, {3.0, 5.0}, {3.0, 9.0}}, 1.0, 1)
+            .valid);
 
     // min_leaf too large for any admissible boundary.
-    std::vector<SplitObservation> small{
-        {0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}};
-    EXPECT_FALSE(findBestSdrSplit(small, 1.0, 2).valid);
+    EXPECT_FALSE(
+        sortedNodeSplit({{0.0, 1.0}, {1.0, 2.0}, {2.0, 3.0}}, 1.0, 2)
+            .valid);
 }
 
 } // namespace

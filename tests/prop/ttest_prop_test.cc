@@ -1,8 +1,11 @@
 /**
  * @file
- * Differential and metamorphic properties of the two-sample t-tests
- * (stats/tests) against a textbook Welch oracle whose p-value comes
- * from direct Simpson integration rather than the incomplete beta.
+ * Differential and metamorphic properties of the two-sample t-test
+ * Section VI runs, pooledTTest (stats/tests), against an oracle of
+ * Equation 10 as the code implements it: the unpooled Welch
+ * statistic from two-pass moments, with its p-value at the pooled
+ * n1 + n2 - 2 degrees of freedom from direct Simpson integration
+ * rather than the incomplete beta.
  */
 
 #include <gtest/gtest.h>
@@ -62,27 +65,30 @@ close(double a, double b, double rel)
         rel * std::max({1.0, std::abs(a), std::abs(b)});
 }
 
-TEST(TTestProp, WelchMatchesTextbookOracle)
+TEST(TTestProp, PooledMatchesEquationTenOracle)
 {
     const Config config = Config::fromEnv(0x7357, 100);
     const CheckResult result = prop::check<TwoSamples>(
         config, twoSamples(),
         [](const TwoSamples &samples) -> std::optional<std::string> {
             const TestResult got =
-                welchTTest(samples.xs, samples.ys);
-            const oracle::WelchResult want =
-                oracle::welch(samples.xs, samples.ys);
-            if (!close(got.statistic, want.statistic, 1e-9))
+                pooledTTest(samples.xs, samples.ys);
+            const double want_t = oracle::welch(samples.xs, samples.ys);
+            const double want_df = static_cast<double>(
+                samples.xs.size() + samples.ys.size() - 2);
+            if (!close(got.statistic, want_t, 1e-9))
                 return "statistic " + prop::showDouble(got.statistic) +
-                    " vs oracle " + prop::showDouble(want.statistic);
-            if (!close(got.df, want.df, 1e-9))
+                    " vs oracle " + prop::showDouble(want_t);
+            if (!close(got.df, want_df, 1e-9))
                 return "df " + prop::showDouble(got.df) +
-                    " vs oracle " + prop::showDouble(want.df);
+                    " vs oracle " + prop::showDouble(want_df);
             // The oracle integrates the t density numerically; its
             // error is well under this absolute tolerance.
-            if (std::abs(got.pValue - want.pValue) > 5e-6)
+            const double want_p =
+                oracle::studentTTwoSidedPBySimpson(want_t, want_df);
+            if (std::abs(got.pValue - want_p) > 5e-6)
                 return "p " + prop::showDouble(got.pValue) +
-                    " vs oracle " + prop::showDouble(want.pValue);
+                    " vs oracle " + prop::showDouble(want_p);
             return std::nullopt;
         });
     WCT_EXPECT_PROP(result, config);
@@ -95,9 +101,9 @@ TEST(TTestProp, SwappingSamplesNegatesStatistic)
         config, twoSamples(),
         [](const TwoSamples &samples) -> std::optional<std::string> {
             const TestResult forward =
-                welchTTest(samples.xs, samples.ys);
+                pooledTTest(samples.xs, samples.ys);
             const TestResult reverse =
-                welchTTest(samples.ys, samples.xs);
+                pooledTTest(samples.ys, samples.xs);
             if (!close(forward.statistic, -reverse.statistic, 1e-12))
                 return "statistic not antisymmetric";
             if (!close(forward.pValue, reverse.pValue, 1e-12))
@@ -125,9 +131,9 @@ TEST(TTestProp, ShiftAndScaleInvariance)
             for (double &y : mapped.ys)
                 y = a * y + c;
             const TestResult base =
-                welchTTest(samples.xs, samples.ys);
+                pooledTTest(samples.xs, samples.ys);
             const TestResult moved =
-                welchTTest(mapped.xs, mapped.ys);
+                pooledTTest(mapped.xs, mapped.ys);
             if (!close(base.statistic, moved.statistic, 1e-6))
                 return "statistic moved: " +
                     prop::showDouble(base.statistic) + " vs " +
@@ -185,7 +191,7 @@ TEST(TTestProp, PValueShrinksAsTheShiftGrows)
         std::vector<double> moved = base2;
         for (double &y : moved)
             y += shift;
-        const double p = welchTTest(base1, moved).pValue;
+        const double p = pooledTTest(base1, moved).pValue;
         EXPECT_LE(p, previous + 1e-12) << "shift " << shift;
         previous = p;
     }
@@ -194,7 +200,7 @@ TEST(TTestProp, PValueShrinksAsTheShiftGrows)
 TEST(TTestProp, IdenticalSamplesDoNotReject)
 {
     const std::vector<double> xs{1.0, 2.0, 3.0, 4.0, 5.0};
-    const TestResult result = welchTTest(xs, xs);
+    const TestResult result = pooledTTest(xs, xs);
     EXPECT_NEAR(result.statistic, 0.0, 1e-12);
     EXPECT_NEAR(result.pValue, 1.0, 1e-9);
     EXPECT_FALSE(result.rejectAt(0.05));

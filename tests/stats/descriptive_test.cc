@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for descriptive statistics and the Welford accumulator.
+ * Unit tests for descriptive statistics.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +28,6 @@ TEST(VarianceTest, SampleVsPopulation)
 {
     // Sum of squared deviations is 32.
     EXPECT_NEAR(sampleVariance(kSample), 32.0 / 7.0, 1e-12);
-    EXPECT_NEAR(populationVariance(kSample), 4.0, 1e-12);
     EXPECT_NEAR(sampleStddev(kSample), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
@@ -36,7 +35,6 @@ TEST(VarianceTest, DegenerateInputs)
 {
     const std::vector<double> one = {3.0};
     EXPECT_DOUBLE_EQ(sampleVariance(one), 0.0);
-    EXPECT_DOUBLE_EQ(populationVariance(one), 0.0);
     const std::vector<double> constant = {2.0, 2.0, 2.0};
     EXPECT_DOUBLE_EQ(sampleVariance(constant), 0.0);
 }
@@ -93,82 +91,6 @@ TEST(CorrelationTest, IndependentNearZero)
     }
     EXPECT_NEAR(pearsonCorrelation(xs, ys), 0.0, 0.03);
 }
-
-TEST(RunningStatsTest, MatchesBatchComputation)
-{
-    RunningStats acc;
-    for (double x : kSample)
-        acc.add(x);
-    EXPECT_EQ(acc.count(), kSample.size());
-    EXPECT_DOUBLE_EQ(acc.mean(), mean(kSample));
-    EXPECT_NEAR(acc.sampleVariance(), sampleVariance(kSample), 1e-12);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-    EXPECT_DOUBLE_EQ(acc.sum(), 40.0);
-}
-
-TEST(RunningStatsTest, MergeEqualsConcatenation)
-{
-    RunningStats left, right, all;
-    for (int i = 0; i < 50; ++i) {
-        const double x = std::sin(i * 0.7) * 10.0;
-        (i < 20 ? left : right).add(x);
-        all.add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-10);
-    EXPECT_NEAR(left.sampleVariance(), all.sampleVariance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides)
-{
-    RunningStats a;
-    RunningStats b;
-    b.add(5.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_DOUBLE_EQ(a.mean(), 5.0);
-    RunningStats c;
-    a.merge(c);
-    EXPECT_EQ(a.count(), 1u);
-}
-
-TEST(RunningStatsTest, VarianceOfSingleIsZero)
-{
-    RunningStats acc;
-    acc.add(42.0);
-    EXPECT_DOUBLE_EQ(acc.sampleVariance(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.populationVariance(), 0.0);
-}
-
-// Property: merging any split of a stream equals the full stream.
-class RunningStatsSplitTest : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(RunningStatsSplitTest, SplitInvariant)
-{
-    const int split = GetParam();
-    Rng rng(300 + split);
-    std::vector<double> xs;
-    for (int i = 0; i < 200; ++i)
-        xs.push_back(rng.normal(3.0, 2.5));
-
-    RunningStats a, b, whole;
-    for (int i = 0; i < 200; ++i) {
-        (i < split ? a : b).add(xs[i]);
-        whole.add(xs[i]);
-    }
-    a.merge(b);
-    EXPECT_NEAR(a.mean(), whole.mean(), 1e-10);
-    EXPECT_NEAR(a.sampleVariance(), whole.sampleVariance(), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(Splits, RunningStatsSplitTest,
-                         ::testing::Values(0, 1, 50, 100, 199, 200));
 
 } // namespace
 } // namespace wct

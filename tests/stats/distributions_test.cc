@@ -6,8 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "stats/distributions.hh"
 
 namespace wct
@@ -54,77 +52,12 @@ TEST(NormalCdfTest, StandardValues)
     EXPECT_NEAR(normalCdf(-2.326347874), 0.01, 1e-9);
 }
 
-TEST(NormalQuantileTest, InvertsCdf)
-{
-    for (double p : {0.001, 0.01, 0.025, 0.1, 0.5, 0.9, 0.975, 0.999}) {
-        const double z = normalQuantile(p);
-        EXPECT_NEAR(normalCdf(z), p, 1e-10) << "p=" << p;
-    }
-}
-
-TEST(NormalQuantileTest, KnownCriticalValues)
-{
-    EXPECT_NEAR(normalQuantile(0.975), 1.959963985, 1e-8);
-    EXPECT_NEAR(normalQuantile(0.5), 0.0, 1e-12);
-    EXPECT_NEAR(normalQuantile(0.95), 1.644853627, 1e-8);
-}
-
-TEST(StudentTCdfTest, SymmetricAroundZero)
-{
-    for (double df : {1.0, 5.0, 30.0, 200.0}) {
-        EXPECT_NEAR(studentTCdf(0.0, df), 0.5, 1e-12);
-        for (double t : {0.5, 1.0, 2.5}) {
-            EXPECT_NEAR(studentTCdf(t, df) + studentTCdf(-t, df), 1.0,
-                        1e-12);
-        }
-    }
-}
-
-TEST(StudentTCdfTest, CauchySpecialCase)
-{
-    // df = 1 is the Cauchy distribution: CDF = 1/2 + atan(t)/pi.
-    for (double t : {-3.0, -1.0, 0.5, 2.0}) {
-        EXPECT_NEAR(studentTCdf(t, 1.0),
-                    0.5 + std::atan(t) / M_PI, 1e-10);
-    }
-}
-
-TEST(StudentTCdfTest, ApproachesNormalForLargeDf)
-{
-    for (double t : {-2.0, -0.5, 1.0, 2.5}) {
-        EXPECT_NEAR(studentTCdf(t, 1e6), normalCdf(t), 1e-5);
-    }
-}
-
-TEST(StudentTTest, KnownCriticalValues)
-{
-    // Two-sided 95% critical values from t tables.
-    EXPECT_NEAR(studentTQuantile(0.975, 10.0), 2.228138852, 1e-6);
-    EXPECT_NEAR(studentTQuantile(0.975, 30.0), 2.042272456, 1e-6);
-    // The paper's large-sample threshold of 1.960.
-    EXPECT_NEAR(studentTQuantile(0.975, 400000.0), 1.960, 1e-3);
-}
-
 TEST(StudentTTest, TwoSidedPValue)
 {
     // P(|T_10| > 2.228...) = 0.05.
     EXPECT_NEAR(studentTTwoSidedP(2.228138852, 10.0), 0.05, 1e-6);
     EXPECT_NEAR(studentTTwoSidedP(0.0, 10.0), 1.0, 1e-12);
     EXPECT_LT(studentTTwoSidedP(125.0, 300000.0), 1e-12);
-}
-
-TEST(StudentTQuantileTest, InvertsCdf)
-{
-    for (double df : {3.0, 12.0, 100.0}) {
-        for (double p : {0.05, 0.3, 0.5, 0.8, 0.99}) {
-            const double t = studentTQuantile(p, df);
-            // The x = df/(df + t^2) parametrization flattens to a
-            // ~1e-8-wide plateau around t = 0, bounding the invertible
-            // precision near p = 0.5.
-            EXPECT_NEAR(studentTCdf(t, df), p, 1e-7)
-                << "df=" << df << " p=" << p;
-        }
-    }
 }
 
 TEST(FisherFTest, KnownValues)

@@ -1,33 +1,19 @@
 /**
  * @file
- * Unit tests for the OLS solver: exact recovery, noise behaviour,
- * rank-deficient inputs, and the Cholesky kernel.
+ * Unit tests of the Cholesky kernel under every least-squares fit
+ * (GramAccumulator's are in tests/mtree/linear_model_test.cc).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "stats/ols.hh"
-#include "util/rng.hh"
 
 namespace wct
 {
 namespace
 {
-
-/** Pack row-major data and fit. */
-OlsFit
-fitRows(const std::vector<std::vector<double>> &rows,
-        const std::vector<double> &y, double ridge = 1e-8)
-{
-    std::vector<std::span<const double>> spans;
-    spans.reserve(rows.size());
-    for (const auto &r : rows)
-        spans.emplace_back(r.data(), r.size());
-    return fitOls(spans, y, ridge);
-}
 
 TEST(CholeskyTest, SolvesSpdSystem)
 {
@@ -54,166 +40,6 @@ TEST(CholeskyTest, IdentitySolve)
     EXPECT_DOUBLE_EQ(b[0], 7.0);
     EXPECT_DOUBLE_EQ(b[1], -3.0);
 }
-
-TEST(OlsTest, RecoversExactLinearFunction)
-{
-    // y = 2 + 3*x0 - 5*x1, no noise.
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    Rng rng(1);
-    for (int i = 0; i < 50; ++i) {
-        const double x0 = rng.uniform(-2.0, 2.0);
-        const double x1 = rng.uniform(0.0, 4.0);
-        rows.push_back({x0, x1});
-        y.push_back(2.0 + 3.0 * x0 - 5.0 * x1);
-    }
-    const auto fit = fitRows(rows, y);
-    EXPECT_NEAR(fit.intercept, 2.0, 1e-6);
-    ASSERT_EQ(fit.coefficients.size(), 2u);
-    EXPECT_NEAR(fit.coefficients[0], 3.0, 1e-6);
-    EXPECT_NEAR(fit.coefficients[1], -5.0, 1e-6);
-    EXPECT_NEAR(fit.rSquared, 1.0, 1e-9);
-    EXPECT_LT(fit.meanAbsoluteError, 1e-6);
-}
-
-TEST(OlsTest, NoisyRecoveryWithinTolerance)
-{
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    Rng rng(2);
-    for (int i = 0; i < 5000; ++i) {
-        const double x0 = rng.uniform(0.0, 1.0);
-        const double x1 = rng.uniform(0.0, 1.0);
-        rows.push_back({x0, x1});
-        y.push_back(1.0 + 4.0 * x0 + 0.5 * x1 + rng.normal(0.0, 0.1));
-    }
-    const auto fit = fitRows(rows, y);
-    EXPECT_NEAR(fit.intercept, 1.0, 0.03);
-    EXPECT_NEAR(fit.coefficients[0], 4.0, 0.05);
-    EXPECT_NEAR(fit.coefficients[1], 0.5, 0.05);
-    EXPECT_GT(fit.rSquared, 0.98);
-}
-
-TEST(OlsTest, InterceptOnlyFitsMean)
-{
-    std::vector<std::vector<double>> rows = {{}, {}, {}, {}};
-    const std::vector<double> y = {1.0, 2.0, 3.0, 6.0};
-    const auto fit = fitRows(rows, y);
-    EXPECT_TRUE(fit.coefficients.empty());
-    EXPECT_NEAR(fit.intercept, 3.0, 1e-12);
-}
-
-TEST(OlsTest, ConstantPredictorHandledByRidge)
-{
-    // A constant column is collinear with the intercept; the ridge
-    // must keep the system solvable and push its weight toward zero.
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    Rng rng(3);
-    for (int i = 0; i < 100; ++i) {
-        const double x = rng.uniform(0.0, 1.0);
-        rows.push_back({x, 1.0});
-        y.push_back(2.0 * x + 3.0);
-    }
-    const auto fit = fitRows(rows, y);
-    EXPECT_NEAR(fit.coefficients[0], 2.0, 1e-3);
-    // intercept + c1*1.0 must combine to 3.
-    EXPECT_NEAR(fit.intercept + fit.coefficients[1], 3.0, 1e-3);
-}
-
-TEST(OlsTest, DuplicatedPredictorSplitsWeight)
-{
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    Rng rng(4);
-    for (int i = 0; i < 200; ++i) {
-        const double x = rng.uniform(-1.0, 1.0);
-        rows.push_back({x, x});
-        y.push_back(6.0 * x);
-    }
-    const auto fit = fitRows(rows, y);
-    // Ridge makes the minimum-norm split unique: 3 + 3.
-    EXPECT_NEAR(fit.coefficients[0] + fit.coefficients[1], 6.0, 1e-3);
-    EXPECT_NEAR(fit.coefficients[0], fit.coefficients[1], 1e-6);
-}
-
-TEST(OlsTest, PredictMatchesManualEvaluation)
-{
-    OlsFit fit;
-    fit.intercept = 0.5;
-    fit.coefficients = {2.0, -1.0};
-    const std::vector<double> x = {3.0, 4.0};
-    EXPECT_DOUBLE_EQ(fit.predict(x), 0.5 + 6.0 - 4.0);
-}
-
-TEST(OlsTest, ColumnsOverloadAgreesWithRows)
-{
-    Rng rng(5);
-    std::vector<std::vector<double>> rows;
-    std::vector<std::vector<double>> cols(2);
-    std::vector<double> y;
-    for (int i = 0; i < 64; ++i) {
-        const double x0 = rng.normal();
-        const double x1 = rng.normal();
-        rows.push_back({x0, x1});
-        cols[0].push_back(x0);
-        cols[1].push_back(x1);
-        y.push_back(1.0 - x0 + 2.0 * x1 + rng.normal(0.0, 0.01));
-    }
-    const auto a = fitRows(rows, y);
-    const auto b = fitOlsColumns(cols, y);
-    EXPECT_NEAR(a.intercept, b.intercept, 1e-12);
-    EXPECT_NEAR(a.coefficients[0], b.coefficients[0], 1e-12);
-    EXPECT_NEAR(a.coefficients[1], b.coefficients[1], 1e-12);
-}
-
-TEST(OlsTest, RSquaredZeroForPureNoiseNearZero)
-{
-    Rng rng(6);
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    for (int i = 0; i < 3000; ++i) {
-        rows.push_back({rng.normal()});
-        y.push_back(rng.normal());
-    }
-    const auto fit = fitRows(rows, y);
-    EXPECT_LT(fit.rSquared, 0.01);
-    EXPECT_NEAR(fit.coefficients[0], 0.0, 0.05);
-}
-
-// Parameterised: recovery across predictor counts.
-class OlsWidthSweep : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(OlsWidthSweep, RecoversPlantedCoefficients)
-{
-    const int width = GetParam();
-    Rng rng(100 + width);
-    std::vector<double> truth;
-    for (int j = 0; j < width; ++j)
-        truth.push_back(rng.uniform(-3.0, 3.0));
-
-    std::vector<std::vector<double>> rows;
-    std::vector<double> y;
-    for (int i = 0; i < 400 + 50 * width; ++i) {
-        std::vector<double> x;
-        double target = 0.7;
-        for (int j = 0; j < width; ++j) {
-            x.push_back(rng.uniform(0.0, 2.0));
-            target += truth[j] * x.back();
-        }
-        rows.push_back(std::move(x));
-        y.push_back(target);
-    }
-    const auto fit = fitRows(rows, y);
-    ASSERT_EQ(fit.coefficients.size(), static_cast<std::size_t>(width));
-    for (int j = 0; j < width; ++j)
-        EXPECT_NEAR(fit.coefficients[j], truth[j], 1e-5) << "j=" << j;
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, OlsWidthSweep,
-                         ::testing::Values(1, 2, 5, 10, 20));
 
 } // namespace
 } // namespace wct

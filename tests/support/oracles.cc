@@ -15,16 +15,16 @@ namespace
 
 /** Population standard deviation by direct two-pass computation. */
 double
-populationSd(std::span<const SplitObservation> side)
+populationSd(std::span<const Observation> side)
 {
     if (side.empty())
         return 0.0;
     double sum = 0.0;
-    for (const SplitObservation &obs : side)
+    for (const Observation &obs : side)
         sum += obs.target;
     const double mean = sum / static_cast<double>(side.size());
     double ss = 0.0;
-    for (const SplitObservation &obs : side)
+    for (const Observation &obs : side)
         ss += (obs.target - mean) * (obs.target - mean);
     return std::sqrt(ss / static_cast<double>(side.size()));
 }
@@ -32,7 +32,7 @@ populationSd(std::span<const SplitObservation> side)
 } // namespace
 
 SplitCandidate
-bestSdrSplitExhaustive(std::vector<SplitObservation> observations,
+bestSdrSplitExhaustive(std::vector<Observation> observations,
                        double node_sd, std::size_t min_leaf)
 {
     SplitCandidate best;
@@ -40,7 +40,7 @@ bestSdrSplitExhaustive(std::vector<SplitObservation> observations,
     if (n < 2)
         return best;
     std::sort(observations.begin(), observations.end(),
-              [](const SplitObservation &a, const SplitObservation &b) {
+              [](const Observation &a, const Observation &b) {
                   return a.value < b.value;
               });
 
@@ -53,7 +53,7 @@ bestSdrSplitExhaustive(std::vector<SplitObservation> observations,
         const std::size_t nr = n - nl;
         if (nl < min_leaf || nr < min_leaf)
             continue;
-        const std::span<const SplitObservation> all(observations);
+        const std::span<const Observation> all(observations);
         const double sd_left = populationSd(all.subspan(0, nl));
         const double sd_right = populationSd(all.subspan(nl));
         const double sdr = node_sd -
@@ -69,6 +69,26 @@ bestSdrSplitExhaustive(std::vector<SplitObservation> observations,
         }
     }
     return best;
+}
+
+SplitCandidate
+sortedNodeSplit(std::vector<Observation> observations, double node_sd,
+                std::size_t min_leaf)
+{
+    std::stable_sort(observations.begin(), observations.end(),
+                     [](const Observation &a, const Observation &b) {
+                         return a.value < b.value;
+                     });
+    std::vector<double> values;
+    std::vector<double> targets;
+    values.reserve(observations.size());
+    targets.reserve(observations.size());
+    for (const Observation &obs : observations) {
+        values.push_back(obs.value);
+        targets.push_back(obs.target);
+    }
+    return findBestSdrSplitPresorted(values, targets, node_sd,
+                                     min_leaf);
 }
 
 double
@@ -183,30 +203,18 @@ studentTTwoSidedPBySimpson(double t, double df)
     return std::clamp(1.0 - 2.0 * integral, 0.0, 1.0);
 }
 
-WelchResult
+double
 welch(std::span<const double> xs, std::span<const double> ys)
 {
     const double n1 = static_cast<double>(xs.size());
     const double n2 = static_cast<double>(ys.size());
-    const double v1 = sampleVarianceTwoPass(xs) / n1;
-    const double v2 = sampleVarianceTwoPass(ys) / n2;
-
-    WelchResult result;
-    const double se = std::sqrt(v1 + v2);
-    if (se == 0.0) {
-        const bool same = meanTwoPass(xs) == meanTwoPass(ys);
-        result.statistic =
-            same ? 0.0 : std::numeric_limits<double>::infinity();
-        result.df = n1 + n2 - 2.0;
-        result.pValue = same ? 1.0 : 0.0;
-        return result;
-    }
-    result.statistic = (meanTwoPass(xs) - meanTwoPass(ys)) / se;
-    result.df = (v1 + v2) * (v1 + v2) /
-        (v1 * v1 / (n1 - 1.0) + v2 * v2 / (n2 - 1.0));
-    result.pValue =
-        studentTTwoSidedPBySimpson(result.statistic, result.df);
-    return result;
+    const double se = std::sqrt(sampleVarianceTwoPass(xs) / n1 +
+                                sampleVarianceTwoPass(ys) / n2);
+    const double diff = meanTwoPass(xs) - meanTwoPass(ys);
+    if (se == 0.0)
+        return diff == 0.0 ? 0.0
+                           : std::numeric_limits<double>::infinity();
+    return diff / se;
 }
 
 PlainCache::PlainCache(const CacheConfig &config)

@@ -5,17 +5,19 @@
  * Every function here is an intentionally simple, obviously-correct
  * (textbook) implementation of something the library computes with a
  * cleverer algorithm: the prefix-sum SDR split search, the
- * Cholesky/Gram OLS solver, the L1 profile distance, and Welch's
- * t-test with its incomplete-beta p-value. The property tests in
- * tests/prop/ drive both implementations over randomized inputs and
- * require agreement within floating-point tolerance; any divergence
- * is a bug in one of the two (and with this much asymmetry in
- * complexity, almost always in the optimized one).
+ * Cholesky/Gram OLS solver, the L1 profile distance, the two-sample
+ * t statistic with its incomplete-beta p-value, and the sample
+ * variance. The property tests in tests/prop/ drive both
+ * implementations over randomized inputs and require agreement
+ * within floating-point tolerance; any divergence is a bug in one of
+ * the two (and with this much asymmetry in complexity, almost always
+ * in the optimized one).
  *
  * These oracles deliberately avoid the production code paths: no
  * prefix sums, no Gram matrices, no incomplete beta — the p-value
  * comes from direct Simpson integration of the t density using only
- * std::lgamma.
+ * std::lgamma. The one exception is sortedNodeSplit, which is not an
+ * oracle but the harness that feeds the production split kernel.
  *
  * The simulator structures have oracles too: the plain cache (one
  * struct per line, a full scan of the set on every access) and the
@@ -42,15 +44,33 @@ namespace wct
 namespace oracle
 {
 
+/** One (attribute value, target) observation of a split search. */
+struct Observation
+{
+    double value = 0.0;
+    double target = 0.0;
+};
+
 /**
  * Exhaustive O(n²) SDR split search: sort, then for every admissible
  * boundary recompute both side deviations from scratch with two-pass
  * mean/variance. Mirrors the tie-breaking contract of
- * findBestSdrSplit (strict improvement keeps the lowest boundary).
+ * findBestSdrSplitPresorted (strict improvement keeps the lowest
+ * boundary).
  */
 SplitCandidate bestSdrSplitExhaustive(
-    std::vector<SplitObservation> observations, double node_sd,
+    std::vector<Observation> observations, double node_sd,
     std::size_t min_leaf);
+
+/**
+ * The production kernel, findBestSdrSplitPresorted, over a node
+ * sorted here: the observations are stably sorted by value (equal
+ * values keep the caller's order, as the presorted builder keeps
+ * them in row order) and handed over as the value and target arrays
+ * the kernel reads.
+ */
+SplitCandidate sortedNodeSplit(std::vector<Observation> observations,
+                               double node_sd, std::size_t min_leaf);
 
 /** Two-pass arithmetic mean (undefined on empty input). */
 double meanTwoPass(std::span<const double> xs);
@@ -86,16 +106,12 @@ std::optional<Ols2Fit> ols2(std::span<const double> x1,
 double l1ProfileDistance(std::span<const double> a,
                          std::span<const double> b);
 
-/** Textbook Welch t-test computed with two-pass moments. */
-struct WelchResult
-{
-    double statistic = 0.0;
-    double df = 0.0;
-    double pValue = 1.0;
-};
-
-WelchResult welch(std::span<const double> xs,
-                  std::span<const double> ys);
+/**
+ * Welch's t statistic (mean1 - mean2) / sqrt(var1/n1 + var2/n2) with
+ * two-pass moments — the unpooled standard error of Equation 10 of
+ * the paper; 0 or +inf when both samples are constant.
+ */
+double welch(std::span<const double> xs, std::span<const double> ys);
 
 /**
  * Two-sided Student-t p-value by Simpson integration of the density

@@ -60,20 +60,11 @@ TEST(JoinTest, EmptyAndSingle)
     EXPECT_EQ(join({"only"}, ","), "only");
 }
 
-TEST(CaseTest, ToLower)
-{
-    EXPECT_EQ(toLower("DtlbMiss"), "dtlbmiss");
-    EXPECT_EQ(toLower("already"), "already");
-}
-
-TEST(AffixTest, StartsAndEndsWith)
+TEST(AffixTest, StartsWith)
 {
     EXPECT_TRUE(startsWith("429.mcf", "429"));
     EXPECT_FALSE(startsWith("429.mcf", "430"));
     EXPECT_TRUE(startsWith("x", ""));
-    EXPECT_TRUE(endsWith("fma3d_m", "_m"));
-    EXPECT_FALSE(endsWith("mcf", "_m"));
-    EXPECT_FALSE(endsWith("m", "_m"));
 }
 
 TEST(FormatTest, FixedPrecision)
