@@ -41,8 +41,7 @@ collectedSuite(const std::string &name)
             pipe, suiteByName(name), pipeline::standardCollection());
         std::fprintf(stderr, "[harness] %s: %zu samples (%s)\n",
                      name.c_str(), data.totalSamples(),
-                     pipe.runs().back().cached ? "from cache"
-                                               : "collected");
+                     pipe.allCached() ? "from cache" : "collected");
         it = cache.emplace(name, std::move(data)).first;
     }
     return it->second;

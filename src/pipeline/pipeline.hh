@@ -14,8 +14,7 @@
  * compute + encode + store on a miss, and warn-and-recompute when the
  * artifact on disk is corrupt or mismatched. Each execution is
  * recorded as a StageRun (key, hit/miss, own wall time, artifact
- * size), which `wct run` and bench/perf_pipeline render as the
- * per-stage cache report.
+ * size), which `wct run` renders as the per-stage cache report.
  *
  * Because stage keys chain (a train key hashes the collect key it
  * consumes), changing any parameter re-runs exactly the stages

@@ -121,9 +121,15 @@ ThreadPool::workerLoop(std::size_t self)
         std::unique_lock<std::mutex> lock(sleepMutex_);
         if (stop_.load(std::memory_order_acquire))
             break;
-        // Re-probe under the sleep lock races with submitters only in
-        // the harmless direction (a spurious wakeup), because submit
-        // notifies after pushing.
+        // Under this lock the worker checks only stop_, not the
+        // queues, and submit() notifies without taking the lock. A
+        // notify that lands between the empty probe above and
+        // wait_for is therefore lost, and the worker sees the new
+        // task only when the 10 ms wait times out. The task is not
+        // stranded meanwhile: a thread waiting on its TaskGroup runs
+        // queued tasks itself. Closing the gap would move the
+        // scheduling of every workload, so it needs its own
+        // measurement.
         sleepCv_.wait_for(lock, std::chrono::milliseconds(10));
     }
     // Drain any work that raced with shutdown.

@@ -2,11 +2,16 @@
  * @file
  * Determinism contract of the parallel collection pipeline: results
  * are a pure function of (suite, config) — independent of thread
- * count and suite filtering, and equal to the sequential reference.
+ * count and suite filtering, and equal to the sequential reference —
+ * while missed shards do run concurrently.
  */
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
 #include <sstream>
 
 #include "core/collect.hh"
@@ -90,6 +95,78 @@ TEST(CollectDeterminismTest, ByteIdenticalAcrossThreadCounts)
                   inline_bytes)
             << workers << " workers";
     }
+}
+
+/**
+ * A store on which every load misses and the first store() waits, up
+ * to a timeout, for a second one: the two meet only when two missed
+ * shards compute at once.
+ */
+class RendezvousStore final : public StoreBackend
+{
+  public:
+    /** True when a second store() arrived while the first waited. */
+    bool
+    met() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return met_;
+    }
+
+    const std::string &dir() const override { return dir_; }
+    std::string path(const ArtifactId &id) const override
+    {
+        return id.fileName();
+    }
+    bool contains(const ArtifactId &) const override { return false; }
+    std::optional<std::string>
+    load(const ArtifactId &) const override
+    {
+        return std::nullopt;
+    }
+    bool
+    store(const ArtifactId &, std::string_view) const override
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        if (++stores_ == 1)
+            met_ = arrived_.wait_for(lock, std::chrono::seconds(10),
+                                     [this] { return stores_ > 1; });
+        else
+            arrived_.notify_all();
+        return true;
+    }
+    bool remove(const ArtifactId &) const override { return false; }
+    std::vector<ArtifactInfo> list() const override { return {}; }
+    std::vector<ArtifactId>
+    gc(const std::vector<ArtifactId> &, std::uint64_t) const override
+    {
+        return {};
+    }
+
+  private:
+    const std::string dir_ = "rendezvous";
+    mutable std::mutex mutex_;
+    mutable std::condition_variable arrived_;
+    mutable int stores_ = 0;
+    mutable bool met_ = false;
+};
+
+TEST(CollectDeterminismTest, MissedShardsRunConcurrently)
+{
+    // On a 2-worker pool the six missed shards fan out, so a second
+    // shard is stored while the first waits. A serialized miss loop
+    // leaves the first waiting alone until the timeout, which only
+    // bounds a failing run: the verdict is the same on one CPU as on
+    // many.
+    PoolGuard guard;
+    ThreadPool::resetGlobalForTest(2);
+    const auto backend = std::make_shared<RendezvousStore>();
+    pipeline::Pipeline pipe{ArtifactStore(backend)};
+    CollectionConfig config = miniConfig();
+    config.shards = 2;
+    pipeline::collectStage(pipe, miniSuite(), config);
+    EXPECT_EQ(pipe.runs().size(), 6u);
+    EXPECT_TRUE(backend->met());
 }
 
 TEST(CollectDeterminismTest, FilteredSuiteReproducesFullSuite)

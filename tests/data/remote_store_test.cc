@@ -5,14 +5,16 @@
  * one daemon, read-through caching, content re-hash rejection of a
  * tampered payload, LRU eviction under --store-cache-bytes with
  * concurrent readers, daemon-down degradation, cold-cluster vs
- * warm-cluster byte-identity at any WCT_THREADS, and shard-granular
- * invalidation of a single-benchmark config change.
+ * warm-cluster byte-identity of a collection and of a plan at any
+ * WCT_THREADS, and shard-granular invalidation of a single-benchmark
+ * config change.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,7 @@
 #include "data/binary_io.hh"
 #include "data/remote_store.hh"
 #include "data/store_wire.hh"
+#include "pipeline/plans.hh"
 #include "pipeline/stages.hh"
 #include "serve/socket.hh"
 #include "serve/store_service.hh"
@@ -342,12 +345,26 @@ TEST(RemoteStoreTest, RemoveListAndGcReachTheDaemon)
     EXPECT_TRUE(daemon.service.store().contains({"collect-shard", 1}));
 }
 
+/** Run `plan` at tests/pipeline's tiny protocol through `pipe`. */
+std::string
+planText(pipeline::Pipeline &pipe, const std::string &plan)
+{
+    pipeline::PlanProtocol tiny;
+    tiny.collection.intervalInstructions = 2048;
+    tiny.collection.baseIntervals = 12;
+    tiny.collection.warmupInstructions = 20'000;
+    std::ostringstream out;
+    pipeline::runPlan(pipe, plan, tiny, out);
+    return out.str();
+}
+
 TEST(RemoteStoreTest, ColdAndWarmClusterRunsAreByteIdentical)
 {
-    // Worker A collects cold through the daemon; workers B and C
-    // start with empty caches (a "warm cluster" from their point of
-    // view) at different thread counts. Everything must be a store
-    // hit and byte-identical to the cold run.
+    // Worker A collects a suite and runs plan cpu2006 cold through
+    // the daemon; later workers start with empty caches (a "warm
+    // cluster" from their point of view) at different thread counts.
+    // Everything must be a store hit and byte-identical to the cold
+    // run, and a warm plan fetches no collection shard.
     const TempDir dir("cluster");
     fs::create_directories(dir.path / "daemon");
     const LiveDaemon daemon(dir.file("daemon"), dir.file("store.sock"));
@@ -356,27 +373,38 @@ TEST(RemoteStoreTest, ColdAndWarmClusterRunsAreByteIdentical)
     config.shards = 2;
 
     std::string cold_bytes;
+    std::string cold_plan;
     {
         fs::create_directories(dir.path / "a");
         pipeline::Pipeline pipe{workerStore(daemon, dir.file("a"))};
         const SuiteData data =
             pipeline::collectStage(pipe, suite, config);
-        EXPECT_EQ(pipe.cachedCount(), 0u);
         cold_bytes = pipeline::encodeSuiteData(data);
+        cold_plan = planText(pipe, "cpu2006");
+        EXPECT_EQ(pipe.cachedCount(), 0u);
     }
 
-    int worker = 0;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
         ThreadPool::resetGlobalForTest(threads);
         const std::string cache =
-            dir.file("w" + std::to_string(worker++));
+            dir.file("w" + std::to_string(threads));
+        const std::string plan_cache =
+            dir.file("p" + std::to_string(threads));
         fs::create_directories(cache);
+        fs::create_directories(plan_cache);
+
         pipeline::Pipeline pipe{workerStore(daemon, cache)};
         const SuiteData data =
             pipeline::collectStage(pipe, suite, config);
-        EXPECT_TRUE(pipe.allCached()) << "threads=" << threads;
-        EXPECT_EQ(pipeline::encodeSuiteData(data), cold_bytes)
-            << "threads=" << threads;
+        EXPECT_TRUE(pipe.allCached());
+        EXPECT_EQ(pipeline::encodeSuiteData(data), cold_bytes);
+
+        pipeline::Pipeline plan_pipe{workerStore(daemon, plan_cache)};
+        EXPECT_EQ(planText(plan_pipe, "cpu2006"), cold_plan);
+        EXPECT_TRUE(plan_pipe.allCached());
+        for (const ArtifactInfo &info : ArtifactStore(plan_cache).list())
+            EXPECT_NE(info.id.kind, "collect-shard") << info.path;
     }
     ThreadPool::resetGlobalForTest(0);
 }
