@@ -17,8 +17,8 @@ namespace
 /**
  * The experiment binaries share one artifact store under
  * $WCT_BENCH_CACHE (default .wct_cache) — the same content-addressed
- * store `wct run`/`wct cache` operate on, so the ten table/figure
- * binaries and the CLI plans share one simulation pass. Delete the
+ * store `wct run`/`wct cache` operate on, so the ablations, the phase
+ * analysis and `wct run paper` share one simulation pass. Delete the
  * directory (or `wct cache gc` it) to force re-simulation.
  */
 ArtifactStore

@@ -1,8 +1,8 @@
 /**
  * @file
- * Shared data for the experiment-reproduction binaries: every
- * table/figure is regenerated from the standard protocol of
- * pipeline/plans.hh, through the same artifact store.
+ * Shared data for the ablation and phase-analysis binaries: each
+ * suite comes from the standard protocol of pipeline/plans.hh,
+ * through the artifact store `wct run` fills.
  */
 
 #ifndef WCT_BENCH_HARNESS_HH

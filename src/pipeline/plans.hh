@@ -1,17 +1,23 @@
 /**
  * @file
- * Named end-to-end plans: the fixed stage graphs behind `wct run` and
- * the experiment-reproduction binaries (bench/). One table declares
- * every plan — its suites, whether it renders their profile and
- * similarity tables, whether it runs the four Section VI transfers —
- * and one expansion turns an entry into the stages it runs with their
- * chained keys. runPlan() executes that expansion; planArtifacts()
- * lists it without executing anything. A plan is the unit the
- * artifact store reasons about: `wct cache gc` keeps exactly the
- * artifacts some standard plan would touch.
+ * Named end-to-end plans: the fixed stage graphs behind `wct run`. One
+ * table declares every plan — its suites, whether it renders their
+ * profile and similarity tables, whether it runs the four Section VI
+ * transfers, whether it renders the paper's remaining tables and
+ * figures — and one expansion turns an entry into the stages it runs
+ * with their chained keys. runPlan() executes that expansion;
+ * planArtifacts() lists it without executing anything. A plan is the
+ * unit the artifact store reasons about: `wct cache gc` keeps exactly
+ * the artifacts some standard plan would touch.
+ *
+ * `paper` runs exactly `full`'s stages and prints `full`'s bytes, then
+ * Table I, Figures 1-2, the Table II-IV observations, Table III's
+ * subset and the Section VI summaries, rendered from the models,
+ * profile tables and transfer reports the run already holds. The
+ * paper's own reference values sit in one data table in plans.cc.
  *
  * The standard protocol (collection scale, tree hyper-parameters)
- * lives here so the CLI, the table/figure generators, and the perf
+ * lives here so the CLI, the bench/ ablations, and the perf
  * benchmarks all reproduce the paper from identical stage keys: the
  * paper samples 2 M-instruction intervals over full reference runs;
  * the reproduction scales the interval to 8192 instructions and the

@@ -161,7 +161,7 @@ TEST(GoldenTest, TableVITransferability)
     out << "== cpu2006-mini -> cpu2006-mini ==\n"
         << same.render() << "\n== cpu2006-mini -> omp2001-mini ==\n"
         << cross.render();
-    expectMatchesGolden("table6_transferability_mini.txt", out.str());
+    expectMatchesGolden("transferability_mini.txt", out.str());
 }
 
 } // namespace

@@ -415,10 +415,10 @@ tinyProtocol()
 TEST(PlanTest, NamesAreStable)
 {
     for (const char *name :
-         {"cpu2006", "omp2001", "transfer", "full"})
+         {"cpu2006", "omp2001", "transfer", "full", "paper"})
         EXPECT_TRUE(pipeline::isPlanName(name)) << name;
     EXPECT_FALSE(pipeline::isPlanName("spec95"));
-    EXPECT_EQ(pipeline::planNames().size(), 4u);
+    EXPECT_EQ(pipeline::planNames().size(), 5u);
 }
 
 /** Run `plan` at the tiny protocol through `pipe`; its output. */
@@ -443,7 +443,8 @@ TEST(PlanTest, ColdAndWarmRunsAreByteIdentical)
     };
     for (const Case &c : {Case{"omp2001", 11 + 3, 3},
                           Case{"transfer", 40 + 2 + 4, 2 + 4},
-                          Case{"full", 40 + 6 + 4, 6 + 4}}) {
+                          Case{"full", 40 + 6 + 4, 6 + 4},
+                          Case{"paper", 40 + 6 + 4, 6 + 4}}) {
         SCOPED_TRACE(c.plan);
         const TempDir dir(std::string("plan_") + c.plan);
         const ArtifactStore store(dir.path.string());
@@ -519,6 +520,47 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
     EXPECT_EQ(warm_pipe.runs().size(), 10u);
 }
 
+TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
+{
+    // `full`'s text at the tiny protocol. perfbench pins the standard
+    // protocol's (kFullPlanDigest), but tier-1 does not run it.
+    const TempDir dir("paper");
+    const ArtifactStore store(dir.path.string());
+    pipeline::Pipeline full_pipe{store};
+    const std::string full = planText(full_pipe, "full");
+    EXPECT_EQ(fnv1a64(full), 0xaa1b2513694a0bb3ull)
+        << keyHex(fnv1a64(full));
+
+    // `paper` against the store `full` filled: all hits, the same 10
+    // stages, no artifact written, `full`'s bytes first.
+    const auto listing = [&store] {
+        std::set<std::string> names;
+        for (const ArtifactInfo &info : store.list())
+            names.insert(info.id.fileName());
+        return names;
+    };
+    const std::set<std::string> before = listing();
+    pipeline::Pipeline paper_pipe{store};
+    const std::string paper = planText(paper_pipe, "paper");
+    EXPECT_TRUE(paper_pipe.allCached());
+    EXPECT_EQ(paper_pipe.runs().size(), 10u);
+    EXPECT_EQ(listing(), before);
+    ASSERT_GT(paper.size(), full.size());
+    EXPECT_EQ(paper.compare(0, full.size(), full), 0);
+
+    // Then every paper section, in the paper's order.
+    std::size_t at = full.size();
+    for (const char *title :
+         {"== Table I: ", "== Figure 1: SPEC CPU2006 model tree",
+          "== Observations (Section IV-B", "== Table III: ",
+          "== Highlighted pairs", "== Figure 2: SPEC OMP2001 model tree",
+          "== Observations (Section V-B", "== Section VI-A: ",
+          "== Section VI-B: ", "OMP2001 -> CPU2006 "}) {
+        at = paper.find(title, at);
+        ASSERT_NE(at, std::string::npos) << title;
+    }
+}
+
 /** FNV-1a of a plan's artifact file names, one per line, in order. */
 std::uint64_t
 artifactListDigest(const std::vector<ArtifactId> &ids)
@@ -535,6 +577,7 @@ TEST(PlanTest, GcFromPlanArtifactsKeepsThePlanWarm)
     // train/profile/similarity, transfers, mtree), and the digest of
     // its planArtifacts list at the standard protocol on an empty
     // store, recorded before plans were declared in one table.
+    // `paper` runs `full`'s stages, so it lists `full`'s artifacts.
     const struct
     {
         const char *plan;
@@ -545,6 +588,7 @@ TEST(PlanTest, GcFromPlanArtifactsKeepsThePlanWarm)
         {"omp2001", 11 + 3 + 1, 0xc4266a2638529335ull},
         {"transfer", 40 + 2 + 4 + 2, 0x6fdcb9d7213fe29eull},
         {"full", 40 + 6 + 4 + 2, 0xba00fcd050a50bc4ull},
+        {"paper", 40 + 6 + 4 + 2, 0xba00fcd050a50bc4ull},
     };
     ASSERT_EQ(pipeline::planNames().size(), std::size(cases));
     const TempDir empty_dir("gc_empty");
