@@ -304,6 +304,122 @@ TEST(SerializeTest, TryReadFileVariantReportsOpenFailures)
     EXPECT_EQ(restored->numLeaves(), tree.numLeaves());
 }
 
+/** Fields of a two-leaf tree text, each spelled as the test gives it. */
+struct TreeFields
+{
+    std::string clamp = "1";         ///< int
+    std::string splitValue = "0.5";  ///< double
+    std::string splitCount = "10";   ///< unsigned
+    std::string beforeEnd = "\n";    ///< between the last leaf and `end`
+    std::string tail = "\n";         ///< after `end`
+};
+
+std::string
+treeText(const TreeFields &f)
+{
+    return "wct-model-tree v1\n"
+           "target y\n"
+           "schema 2 x y\n"
+           "range 0 1 0.5 " + f.clamp + "\n"
+           "node split 0 " + f.splitValue + " " + f.splitCount +
+           " 0.5\n"
+           "node leaf 4 0.25 0.25 1 0 2\n"
+           "node leaf 6 0.75 0.75 0" + f.beforeEnd + "end" + f.tail;
+}
+
+/**
+ * One spelling of one field and what the reader makes of it: the
+ * re-saved text when it accepts (as the fields save() prints), or a
+ * substring of its error when it rejects.
+ */
+struct Spelling
+{
+    const char *name;
+    TreeFields text;
+    bool accepted;
+    TreeFields resaved;    ///< when accepted
+    const char *error;     ///< when rejected
+};
+
+TEST(SerializeTest, NumberAndTrailerSpellingsKeepTheirOutcome)
+{
+    const auto with = [](auto set) {
+        TreeFields f;
+        set(f);
+        return f;
+    };
+    const TreeFields canonical;
+    const Spelling spellings[] = {
+        {"leading plus, double",
+         with([](TreeFields &f) { f.splitValue = "+0.5"; }), true,
+         canonical, nullptr},
+        {"leading plus, unsigned",
+         with([](TreeFields &f) { f.splitCount = "+10"; }), true,
+         canonical, nullptr},
+        {"leading plus, int",
+         with([](TreeFields &f) { f.clamp = "+1"; }), true, canonical,
+         nullptr},
+        {"plus then minus",
+         with([](TreeFields &f) { f.splitValue = "+-0.5"; }), false,
+         {}, "malformed split node"},
+        {"minus one, unsigned",
+         with([](TreeFields &f) { f.splitCount = "-1"; }), true,
+         with([](TreeFields &f) {
+             f.splitCount = "18446744073709551615";
+         }),
+         nullptr},
+        {"minus one, int",
+         with([](TreeFields &f) { f.clamp = "-1"; }), true, canonical,
+         nullptr},
+        {"inf", with([](TreeFields &f) { f.splitValue = "inf"; }),
+         false, {}, "malformed split node"},
+        {"nan", with([](TreeFields &f) { f.splitValue = "nan"; }),
+         false, {}, "malformed split node"},
+        {"overflow", with([](TreeFields &f) { f.splitValue = "1e400"; }),
+         false, {}, "malformed split node"},
+        {"denormal",
+         with([](TreeFields &f) { f.splitValue = "4.9e-324"; }), true,
+         with([](TreeFields &f) {
+             f.splitValue = "4.9406564584124654e-324";
+         }),
+         nullptr},
+        {"underflow",
+         with([](TreeFields &f) { f.splitValue = "1e-400"; }), true,
+         with([](TreeFields &f) { f.splitValue = "0"; }), nullptr},
+        {"hex", with([](TreeFields &f) { f.splitValue = "0x10"; }),
+         false, {}, "malformed split node"},
+        {"junk suffix",
+         with([](TreeFields &f) { f.splitValue = "1.5abc"; }), false,
+         {}, "malformed split node"},
+        {"number glued to end",
+         with([](TreeFields &f) { f.beforeEnd = ""; }), true, canonical,
+         nullptr},
+        {"trailing bytes after end",
+         with([](TreeFields &f) { f.tail = "\ntrailing bytes\n"; }),
+         true, canonical, nullptr},
+        {"no newline after end",
+         with([](TreeFields &f) { f.tail = ""; }), true, canonical,
+         nullptr},
+        {"bytes glued to end",
+         with([](TreeFields &f) { f.tail = "garbage\n"; }), false, {},
+         "missing end marker"},
+    };
+    for (const Spelling &s : spellings) {
+        SCOPED_TRACE(s.name);
+        std::stringstream in(treeText(s.text));
+        std::string err;
+        const auto tree = tryReadModelTree(in, &err);
+        ASSERT_EQ(tree.has_value(), s.accepted) << err;
+        if (!tree) {
+            EXPECT_NE(err.find(s.error), std::string::npos) << err;
+            continue;
+        }
+        std::ostringstream saved;
+        tree->save(saved);
+        EXPECT_EQ(saved.str(), treeText(s.resaved));
+    }
+}
+
 TEST(SerializeDeathTest, BadMagicIsFatal)
 {
     std::stringstream buffer("not a model\n");
