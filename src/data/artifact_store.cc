@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include <unistd.h>
 
@@ -59,31 +59,58 @@ class LocalStoreBackend final : public StoreBackend
         if (!in)
             return std::nullopt; // missing: a plain miss, no warning
 
-        const auto envelope = readEnvelope(
-            in, std::string_view(kArtifactMagic, 8),
-            kArtifactFormatVersion, kMaxFilePayload);
-        if (!envelope) {
+        const auto corrupt = [&file]() -> std::optional<std::string> {
             wct_warn("ignoring corrupt or incompatible artifact '",
                      file, "'; recomputing");
             return std::nullopt;
-        }
+        };
+        const auto read = [&in](void *out, std::uint64_t n) {
+            return static_cast<bool>(
+                in.read(static_cast<char *>(out),
+                        static_cast<std::streamsize>(n)));
+        };
+
+        // The envelope payload is the prefix (kind, key, payload
+        // length) and then the payload. Both are read in place, the
+        // payload straight into the string returned, and checksummed
+        // as one stream, in the order store() wrote them.
+        constexpr std::uint64_t kLengths = 3 * sizeof(std::uint64_t);
+        const auto size = readEnvelopeHeader(
+            in, std::string_view(kArtifactMagic, 8),
+            kArtifactFormatVersion, kMaxFilePayload);
+        std::uint64_t kind_bytes = 0;
+        if (!size || *size < kLengths ||
+            !read(&kind_bytes, sizeof kind_bytes) ||
+            kind_bytes > *size - kLengths)
+            return corrupt();
+        std::string prefix(kLengths + kind_bytes, '\0');
+        std::memcpy(prefix.data(), &kind_bytes, sizeof kind_bytes);
+        if (!read(prefix.data() + sizeof kind_bytes,
+                  prefix.size() - sizeof kind_bytes))
+            return corrupt();
+        ByteParser parser(prefix);
+        std::string kind;
+        std::uint64_t key = 0;
+        std::uint64_t payload_bytes = 0;
+        parser.getString(kind);
+        parser.getU64(key);
+        parser.getU64(payload_bytes);
+        if (payload_bytes != *size - prefix.size())
+            return corrupt();
+
+        std::string payload(payload_bytes, '\0');
+        std::uint64_t checksum = 0;
+        if (!read(payload.data(), payload.size()) ||
+            !read(&checksum, sizeof checksum) ||
+            checksum != fnv1a64(payload, fnv1a64(prefix)))
+            return corrupt();
 
         // The payload self-identifies; a renamed or cross-linked file
         // must not be served under the wrong key.
-        ByteParser parser(*envelope);
-        std::string kind;
-        std::uint64_t key = 0;
-        if (!parser.getString(kind) || !parser.getU64(key) ||
-            kind != id.kind || key != id.key) {
+        if (kind != id.kind || key != id.key) {
             wct_warn("artifact '", file,
                      "' does not match its address (", id.kind, "-",
                      keyHex(id.key), "); recomputing");
-            return std::nullopt;
-        }
-        std::string payload;
-        if (!parser.getString(payload) || !parser.atEnd()) {
-            wct_warn("ignoring corrupt or incompatible artifact '",
-                     file, "'; recomputing");
             return std::nullopt;
         }
         return payload;
@@ -106,13 +133,15 @@ class LocalStoreBackend final : public StoreBackend
             return false;
         }
 
-        ByteSink full;
-        full.putString(id.kind);
-        full.putU64(id.key);
-        full.putString(std::string(payload));
-        std::ostringstream stream;
-        writeEnvelope(stream, std::string_view(kArtifactMagic, 8),
-                      kArtifactFormatVersion, full.bytes());
+        // The layout load() reads: the envelope payload is the prefix
+        // and then the payload, written and checksummed in that order
+        // and never joined in memory.
+        ByteSink prefix;
+        prefix.putString(id.kind);
+        prefix.putU64(id.key);
+        prefix.putU64(payload.size());
+        const std::uint64_t checksum =
+            fnv1a64(payload, fnv1a64(prefix.bytes()));
 
         // Unique temp name per writer, then an atomic rename:
         // concurrent writers of one key serialize on the rename
@@ -132,7 +161,16 @@ class LocalStoreBackend final : public StoreBackend
                          "'");
                 return false;
             }
-            out << stream.str();
+            writeEnvelopeHeader(out, std::string_view(kArtifactMagic, 8),
+                                kArtifactFormatVersion,
+                                prefix.bytes().size() + payload.size());
+            out.write(prefix.bytes().data(),
+                      static_cast<std::streamsize>(prefix.bytes().size()));
+            out.write(payload.data(),
+                      static_cast<std::streamsize>(payload.size()));
+            out.write(reinterpret_cast<const char *>(&checksum),
+                      sizeof checksum);
+            out.flush();
             if (!out) {
                 wct_warn("short write to artifact file '", temp_path,
                          "'");

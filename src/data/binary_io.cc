@@ -1,5 +1,6 @@
 #include "data/binary_io.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <istream>
@@ -116,6 +117,14 @@ ByteParser::getDouble(double &v)
 }
 
 bool
+ByteParser::getDoubles(std::span<double> out)
+{
+    // Little-endian host (asserted by putLe), so the payload's
+    // doubles are the host's.
+    return take(out.data(), out.size_bytes());
+}
+
+bool
 ByteParser::getString(std::string &s)
 {
     std::uint64_t size = 0;
@@ -130,25 +139,19 @@ ByteParser::getString(std::string &s)
 }
 
 void
-writeEnvelope(std::ostream &out, std::string_view magic8,
-              std::uint32_t version, std::string_view payload)
+writeEnvelopeHeader(std::ostream &out, std::string_view magic8,
+                    std::uint32_t version, std::uint64_t size)
 {
     wct_assert(magic8.size() == 8, "envelope magic must be 8 bytes");
     out.write(magic8.data(), 8);
     out.write(reinterpret_cast<const char *>(&version),
               sizeof version);
-    const std::uint64_t size = payload.size();
     out.write(reinterpret_cast<const char *>(&size), sizeof size);
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    const std::uint64_t checksum = fnv1a64(payload);
-    out.write(reinterpret_cast<const char *>(&checksum),
-              sizeof checksum);
 }
 
-std::optional<std::string>
-readEnvelope(std::istream &in, std::string_view magic8,
-             std::uint32_t version, std::uint64_t maxPayload)
+std::optional<std::uint64_t>
+readEnvelopeHeader(std::istream &in, std::string_view magic8,
+                   std::uint32_t version, std::uint64_t maxPayload)
 {
     wct_assert(magic8.size() == 8, "envelope magic must be 8 bytes");
     char magic[8];
@@ -167,9 +170,31 @@ readEnvelope(std::istream &in, std::string_view magic8,
     // hostile length field must not turn into a bad_alloc).
     if (size > maxPayload)
         return std::nullopt;
-    std::string payload(size, '\0');
-    if (size > 0 &&
-        !in.read(payload.data(), static_cast<std::streamsize>(size)))
+    return size;
+}
+
+void
+writeEnvelope(std::ostream &out, std::string_view magic8,
+              std::uint32_t version, std::string_view payload)
+{
+    writeEnvelopeHeader(out, magic8, version, payload.size());
+    out.write(payload.data(),
+              static_cast<std::streamsize>(payload.size()));
+    const std::uint64_t checksum = fnv1a64(payload);
+    out.write(reinterpret_cast<const char *>(&checksum),
+              sizeof checksum);
+}
+
+std::optional<std::string>
+readEnvelope(std::istream &in, std::string_view magic8,
+             std::uint32_t version, std::uint64_t maxPayload)
+{
+    const auto size = readEnvelopeHeader(in, magic8, version, maxPayload);
+    if (!size)
+        return std::nullopt;
+    std::string payload(*size, '\0');
+    if (*size > 0 &&
+        !in.read(payload.data(), static_cast<std::streamsize>(*size)))
         return std::nullopt;
     std::uint64_t checksum = 0;
     if (!in.read(reinterpret_cast<char *>(&checksum),
@@ -202,6 +227,12 @@ parseDataset(ByteParser &parser)
     for (auto &name : names)
         if (!parser.getString(name) || name.empty())
             return std::nullopt;
+    // Dataset asserts distinct names: a payload that repeats one is
+    // malformed input, not a reason to abort.
+    std::vector<std::string_view> sorted(names.begin(), names.end());
+    std::sort(sorted.begin(), sorted.end());
+    if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end())
+        return std::nullopt;
     std::uint64_t rows = 0;
     if (!parser.getU64(rows))
         return std::nullopt;
@@ -211,16 +242,10 @@ parseDataset(ByteParser &parser)
     // (cols <= 2^20, so the divisor never overflows.)
     if (rows > parser.remaining() / (cols * sizeof(double)))
         return std::nullopt;
-    Dataset data(std::move(names));
-    data.reserveRows(rows);
-    std::vector<double> row(cols);
-    for (std::uint64_t r = 0; r < rows; ++r) {
-        for (auto &v : row)
-            if (!parser.getDouble(v))
-                return std::nullopt;
-        data.addRow(row);
-    }
-    return data;
+    std::vector<double> cells(rows * cols);
+    if (!parser.getDoubles(cells))
+        return std::nullopt;
+    return Dataset(std::move(names), std::move(cells));
 }
 
 void

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -88,6 +89,8 @@ class ByteParser
     bool getU32(std::uint32_t &v);
     bool getU64(std::uint64_t &v);
     bool getDouble(double &v);
+    /** out.size() doubles in one copy (the putDouble layout). */
+    bool getDoubles(std::span<double> out);
     bool getString(std::string &s);
 
     bool ok() const { return ok_; }
@@ -113,6 +116,20 @@ class ByteParser
 /** Write one checksummed envelope (see file comment for the layout). */
 void writeEnvelope(std::ostream &out, std::string_view magic8,
                    std::uint32_t version, std::string_view payload);
+
+/**
+ * The header half of writeEnvelope and readEnvelope (magic, version
+ * and payload size), for a caller that writes or reads a payload of
+ * its own framing in pieces and checksums them as one stream through
+ * fnv1a64's seed (the artifact store). The header reader rejects what
+ * readEnvelope rejects before allocating: bad magic, another version,
+ * truncation and a claimed size above `maxPayload`.
+ */
+void writeEnvelopeHeader(std::ostream &out, std::string_view magic8,
+                         std::uint32_t version, std::uint64_t size);
+std::optional<std::uint64_t>
+readEnvelopeHeader(std::istream &in, std::string_view magic8,
+                   std::uint32_t version, std::uint64_t maxPayload);
 
 /**
  * Read and verify one envelope; nullopt on bad magic, version

@@ -20,6 +20,16 @@ Dataset::Dataset(std::vector<std::string> column_names)
     }
 }
 
+Dataset::Dataset(std::vector<std::string> column_names,
+                 std::vector<double> cells)
+    : Dataset(std::move(column_names))
+{
+    wct_assert(cells.size() % names_.size() == 0, "cell count ",
+               cells.size(), " is not a multiple of the schema arity ",
+               names_.size());
+    values_ = std::move(cells);
+}
+
 bool
 Dataset::hasColumn(const std::string &name) const
 {

@@ -48,6 +48,11 @@ class Dataset
     /** Create an empty dataset with the given column schema. */
     explicit Dataset(std::vector<std::string> column_names);
 
+    /** Adopt row-major cells; their count must be a multiple of the
+     * column count. */
+    Dataset(std::vector<std::string> column_names,
+            std::vector<double> cells);
+
     /** Number of columns in the schema. */
     std::size_t numColumns() const { return names_.size(); }
 

@@ -159,7 +159,7 @@ class RemoteStoreBackend final : public StoreBackend
         StoreRequest request;
         request.op = StoreOp::Load;
         request.artifact = id;
-        const auto response = call(std::move(request));
+        auto response = call(std::move(request));
         if (!response ||
             response->status == StoreStatus::NotFound)
             return std::nullopt; // a plain miss
@@ -183,7 +183,7 @@ class RemoteStoreBackend final : public StoreBackend
         }
         if (cache_.store(id, response->payload))
             evictToFit(cache_.path(id));
-        return response->payload;
+        return std::move(response->payload);
     }
 
     bool

@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.hh"
@@ -166,11 +167,14 @@ class ModelTree : public Regressor
     static ModelTree load(std::istream &in);
 
     /**
-     * Non-fatal variant of load() for callers that must survive bad
-     * input (the model-serving registry): returns nullopt and fills
-     * `err` instead of terminating. load() delegates here.
+     * Non-fatal reader of the text save() writes, for callers that
+     * must survive bad input (the model-serving registry, the
+     * artifact decoders): returns nullopt and fills `err` instead of
+     * terminating. Bytes after the `end` line are not read. load()
+     * and the stream readers of mtree/serialize.hh read the whole
+     * stream and delegate here.
      */
-    static std::optional<ModelTree> tryLoad(std::istream &in,
+    static std::optional<ModelTree> tryLoad(std::string_view text,
                                             std::string *err);
 
     /**

@@ -1,11 +1,13 @@
 #include "mtree/serialize.hh"
 
+#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
+#include <type_traits>
 
 #include "data/artifact_store.hh"
 #include "util/logging.hh"
@@ -30,6 +32,91 @@ parseFail(std::string *err, std::string message)
     if (err != nullptr)
         *err = std::move(message);
     return false;
+}
+
+/** The characters isspace() accepts in the "C" locale. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\v' ||
+        c == '\f' || c == '\r';
+}
+
+/**
+ * One whole token as a number, through std::from_chars. Two spellings
+ * differ from from_chars so that texts earlier versions read (with
+ * iostreams) keep their outcome: a leading '+' is taken, and inf and
+ * nan are refused. A '-' in an unsigned field, a value out of range
+ * (1e400, and 1e-400, which underflows) and anything glued to the
+ * number are refused; tests/mtree/serialize_test.cc pins each
+ * spelling.
+ */
+template <typename T>
+bool
+parseNumber(std::string_view token, T &out)
+{
+    if (!token.empty() && token.front() == '+') {
+        token.remove_prefix(1);
+        if (!token.empty() && token.front() == '-')
+            return false;
+    }
+    if constexpr (std::is_floating_point_v<T>) {
+        const std::size_t lead =
+            !token.empty() && token.front() == '-' ? 1 : 0;
+        if (lead == token.size() ||
+            !(token[lead] == '.' ||
+              (token[lead] >= '0' && token[lead] <= '9')))
+            return false;
+    }
+    const char *end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** The whitespace-separated tokens of a tree text, left to right. */
+class Tokens
+{
+  public:
+    explicit Tokens(std::string_view text) : rest_(text) {}
+
+    /** The next token; empty once the text is used up. */
+    std::string_view
+    next()
+    {
+        std::size_t begin = 0;
+        while (begin < rest_.size() && isSpace(rest_[begin]))
+            ++begin;
+        std::size_t end = begin;
+        while (end < rest_.size() && !isSpace(rest_[end]))
+            ++end;
+        const std::string_view token = rest_.substr(begin, end - begin);
+        rest_.remove_prefix(end);
+        return token;
+    }
+
+    bool
+    word(std::string &out)
+    {
+        out = next();
+        return !out.empty();
+    }
+
+    template <typename T>
+    bool
+    number(T &out)
+    {
+        return parseNumber(next(), out);
+    }
+
+  private:
+    std::string_view rest_;
+};
+
+/** Everything left in a stream. */
+std::string
+readAll(std::istream &in)
+{
+    return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 } // namespace
@@ -77,26 +164,24 @@ ModelTree::save(std::ostream &out) const
 }
 
 std::optional<ModelTree>
-ModelTree::tryLoad(std::istream &in, std::string *err)
+ModelTree::tryLoad(std::string_view text, std::string *err)
 {
-    std::string line;
-    if (!std::getline(in, line) || line != kModelTreeMagicLine) {
+    const std::size_t eol = text.find('\n');
+    if (text.substr(0, eol) != kModelTreeMagicLine) {
         parseFail(err, "not a wct model tree (bad magic line)");
         return std::nullopt;
     }
+    Tokens in(eol == std::string_view::npos ? std::string_view()
+                                            : text.substr(eol + 1));
 
     ModelTree tree;
-    std::string keyword;
-
-    if (!(in >> keyword) || keyword != "target" ||
-        !(in >> tree.target_)) {
+    if (in.next() != "target" || !in.word(tree.target_)) {
         parseFail(err, "model tree: missing target line");
         return std::nullopt;
     }
 
     std::size_t schema_size = 0;
-    if (!(in >> keyword) || keyword != "schema" ||
-        !(in >> schema_size)) {
+    if (in.next() != "schema" || !in.number(schema_size)) {
         parseFail(err, "model tree: missing schema line");
         return std::nullopt;
     }
@@ -109,7 +194,7 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
     }
     tree.schema_.resize(schema_size);
     for (std::string &name : tree.schema_)
-        if (!(in >> name)) {
+        if (!in.word(name)) {
             parseFail(err, "model tree: truncated schema");
             return std::nullopt;
         }
@@ -127,9 +212,9 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
     }
 
     int clamp = 1;
-    if (!(in >> keyword) || keyword != "range" ||
-        !(in >> tree.targetMin_ >> tree.targetMax_ >> tree.globalSd_ >>
-          clamp)) {
+    if (in.next() != "range" || !in.number(tree.targetMin_) ||
+        !in.number(tree.targetMax_) || !in.number(tree.globalSd_) ||
+        !in.number(clamp)) {
         parseFail(err, "model tree: missing range line");
         return std::nullopt;
     }
@@ -144,9 +229,9 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
             parseFail(err, "model tree: nesting too deep");
             return nullptr;
         }
-        std::string node_keyword;
-        std::string kind;
-        if (!(in >> node_keyword >> kind) || node_keyword != "node") {
+        const std::string_view keyword = in.next();
+        const std::string_view kind = in.next();
+        if (keyword != "node" || kind.empty()) {
             parseFail(err, "model tree: expected a node record");
             return nullptr;
         }
@@ -154,8 +239,9 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
         auto node = std::make_unique<Node>();
         if (kind == "split") {
             node->isLeaf = false;
-            if (!(in >> node->splitAttr >> node->splitValue >>
-                  node->count >> node->meanTarget)) {
+            if (!in.number(node->splitAttr) ||
+                !in.number(node->splitValue) || !in.number(node->count) ||
+                !in.number(node->meanTarget)) {
                 parseFail(err, "model tree: malformed split node");
                 return nullptr;
             }
@@ -175,14 +261,14 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
             return node;
         }
         if (kind != "leaf") {
-            parseFail(err, "model tree: unknown node kind '" + kind +
-                               "'");
+            parseFail(err, "model tree: unknown node kind '" +
+                               std::string(kind) + "'");
             return nullptr;
         }
 
         std::size_t terms = 0;
-        if (!(in >> node->count >> node->meanTarget >>
-              node->model.intercept >> terms)) {
+        if (!in.number(node->count) || !in.number(node->meanTarget) ||
+            !in.number(node->model.intercept) || !in.number(terms)) {
             parseFail(err, "model tree: malformed leaf node");
             return nullptr;
         }
@@ -194,8 +280,8 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
         node->model.attributes.resize(terms);
         node->model.coefficients.resize(terms);
         for (std::size_t i = 0; i < terms; ++i) {
-            if (!(in >> node->model.attributes[i] >>
-                  node->model.coefficients[i])) {
+            if (!in.number(node->model.attributes[i]) ||
+                !in.number(node->model.coefficients[i])) {
                 parseFail(err, "model tree: truncated leaf model");
                 return nullptr;
             }
@@ -211,7 +297,8 @@ ModelTree::tryLoad(std::istream &in, std::string *err)
     if (tree.root_ == nullptr)
         return std::nullopt;
 
-    if (!(in >> keyword) || keyword != "end") {
+    // Bytes after the end marker are not read.
+    if (in.next() != "end") {
         parseFail(err, "model tree: missing end marker");
         return std::nullopt;
     }
@@ -227,7 +314,7 @@ ModelTree
 ModelTree::load(std::istream &in)
 {
     std::string err;
-    auto tree = tryLoad(in, &err);
+    auto tree = tryLoad(readAll(in), &err);
     if (!tree)
         wct_fatal(err);
     return std::move(*tree);
@@ -269,7 +356,7 @@ readModelTreeFile(const std::string &path)
 std::optional<ModelTree>
 tryReadModelTree(std::istream &in, std::string *err)
 {
-    return ModelTree::tryLoad(in, err);
+    return ModelTree::tryLoad(readAll(in), err);
 }
 
 std::optional<ModelTree>
@@ -287,7 +374,7 @@ tryReadModelTreeFile(const std::string &path, std::string *err)
         parseFail(err, "cannot open '" + path + "' for reading");
         return std::nullopt;
     }
-    return ModelTree::tryLoad(in, err);
+    return ModelTree::tryLoad(readAll(in), err);
 }
 
 std::uint64_t

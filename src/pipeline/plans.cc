@@ -7,11 +7,9 @@
 #include <limits>
 #include <optional>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
-#include "mtree/serialize.hh"
 #include "pmu/events.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -607,18 +605,13 @@ planArtifacts(const std::string &name, const PlanProtocol &protocol,
                               kTransferTarget, transfer.config)});
 
     // The ("mtree", content key) ids of the trees whose train
-    // artifacts exist: the content key hashes the serialized tree, so
-    // only decoding the train artifact discovers it.
+    // artifacts exist: the content key hashes the tree text, so only
+    // decoding the train artifact discovers it.
     for (const SuiteStep &step : plan.suites) {
         const auto payload = store.load({"train", step.trainKey});
-        const auto model =
-            payload ? decodeSuiteModel(*payload) : std::nullopt;
-        if (!model)
-            continue;
-        std::ostringstream text;
-        writeModelTree(model->tree, text);
-        ids.push_back(
-            {"mtree", modelTreeContentKey(std::move(text).str())});
+        std::string text;
+        if (payload && decodeSuiteModel(*payload, &text))
+            ids.push_back(modelTreeArtifact(text));
     }
     return ids;
 }

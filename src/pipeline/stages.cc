@@ -166,6 +166,28 @@ parseProfileRow(ByteParser &parser, BenchmarkProfileRow &row)
     return parser.getDouble(row.meanCpi);
 }
 
+/** The text writeModelTree prints for a tree. */
+std::string
+printTree(const ModelTree &tree)
+{
+    std::ostringstream text;
+    writeModelTree(tree, text);
+    return std::move(text).str();
+}
+
+/** The train payload of a model whose tree text is already printed. */
+std::string
+encodeTrainPayload(const SuiteModel &model, std::string_view treeText)
+{
+    ByteSink sink;
+    sink.putString(model.suiteName);
+    sink.putString(treeText);
+    appendDataset(sink, model.train);
+    appendDataset(sink, model.test);
+    sink.putDouble(model.meanCpi);
+    return sink.bytes();
+}
+
 /** One (benchmark, shard) collection task and its artifact id. */
 struct ShardTask
 {
@@ -385,20 +407,11 @@ decodeShardSamples(std::string_view payload)
 std::string
 encodeSuiteModel(const SuiteModel &model)
 {
-    std::ostringstream tree_text;
-    writeModelTree(model.tree, tree_text);
-
-    ByteSink sink;
-    sink.putString(model.suiteName);
-    sink.putString(std::move(tree_text).str());
-    appendDataset(sink, model.train);
-    appendDataset(sink, model.test);
-    sink.putDouble(model.meanCpi);
-    return sink.bytes();
+    return encodeTrainPayload(model, printTree(model.tree));
 }
 
 std::optional<SuiteModel>
-decodeSuiteModel(std::string_view payload)
+decodeSuiteModel(std::string_view payload, std::string *treeText)
 {
     ByteParser parser(payload);
     SuiteModel model;
@@ -407,8 +420,7 @@ decodeSuiteModel(std::string_view payload)
         !parser.getString(tree_text))
         return std::nullopt;
 
-    std::istringstream tree_in(std::move(tree_text));
-    auto tree = tryReadModelTree(tree_in);
+    auto tree = ModelTree::tryLoad(tree_text, nullptr);
     if (!tree)
         return std::nullopt;
     model.tree = std::move(*tree);
@@ -424,7 +436,15 @@ decodeSuiteModel(std::string_view payload)
 
     if (!parser.getDouble(model.meanCpi) || !parser.atEnd())
         return std::nullopt;
+    if (treeText != nullptr)
+        *treeText = std::move(tree_text);
     return model;
+}
+
+ArtifactId
+modelTreeArtifact(std::string_view treeText)
+{
+    return {"mtree", modelTreeContentKey(treeText)};
 }
 
 std::string
@@ -708,17 +728,26 @@ trainStage(Pipeline &pipe, const std::string &suiteName,
            const SuiteModelConfig &config)
 {
     const ArtifactId id{"train", trainStageKey(collectKey, config)};
+    // The tree text the train artifact holds: read back on a hit,
+    // printed once on a miss.
+    std::string tree_text;
     SuiteModel model = pipe.run<SuiteModel>(
-        "train:" + suiteName, id, encodeSuiteModel, decodeSuiteModel,
-        [&] { return buildSuiteModel(data(), config); });
+        "train:" + suiteName, id,
+        [&](const SuiteModel &built) {
+            return encodeTrainPayload(built, tree_text);
+        },
+        [&](std::string_view payload) {
+            return decodeSuiteModel(payload, &tree_text);
+        },
+        [&] {
+            SuiteModel built = buildSuiteModel(data(), config);
+            tree_text = printTree(built.tree);
+            return built;
+        });
 
     // Publish the tree text under its content hash so the serving
     // registry can resolve the model without the training inputs.
-    std::ostringstream text;
-    writeModelTree(model.tree, text);
-    const std::string tree_text = std::move(text).str();
-    const ArtifactId tree_id{"mtree",
-                             modelTreeContentKey(tree_text)};
+    const ArtifactId tree_id = modelTreeArtifact(tree_text);
     if (!pipe.store().contains(tree_id))
         pipe.store().store(tree_id, tree_text);
     return model;

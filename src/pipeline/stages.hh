@@ -139,7 +139,18 @@ std::string encodeShardSamples(const Dataset &samples);
 std::optional<Dataset> decodeShardSamples(std::string_view payload);
 
 std::string encodeSuiteModel(const SuiteModel &model);
-std::optional<SuiteModel> decodeSuiteModel(std::string_view payload);
+/** `treeText`, when given, receives the tree text the payload holds
+ * (see modelTreeArtifact). */
+std::optional<SuiteModel> decodeSuiteModel(std::string_view payload,
+                                           std::string *treeText = nullptr);
+
+/**
+ * The ("mtree", content key) id of a tree text. The train stage and
+ * planArtifacts take it from the text the train artifact stores, not
+ * from the decoded tree printed again: a saved text is a load→save
+ * fixed point (fuzz_tree_text), so the two keys are equal.
+ */
+ArtifactId modelTreeArtifact(std::string_view treeText);
 
 std::string encodeProfileTable(const ProfileTable &table);
 std::optional<ProfileTable>

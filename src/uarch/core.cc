@@ -1,7 +1,6 @@
 #include "uarch/core.hh"
 
 #include <algorithm>
-#include <bit>
 
 #include "util/logging.hh"
 
@@ -11,12 +10,17 @@ namespace wct
 namespace
 {
 
-/** addr is not a multiple of size (> 0); a mask when size is 2^k. */
+/**
+ * addr is not a multiple of size (> 0); a mask when size is 2^k. The
+ * power-of-two test is spelled out: std::has_single_bit is a
+ * popcount, a libgcc call on baseline x86-64.
+ */
 bool
 misaligned(std::uint64_t addr, std::uint8_t size)
 {
-    return std::has_single_bit(size) ? (addr & (size - 1u)) != 0
-                                     : addr % size != 0;
+    return size != 0 && (size & (size - 1u)) == 0
+        ? (addr & (size - 1u)) != 0
+        : addr % size != 0;
 }
 
 } // namespace

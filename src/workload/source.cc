@@ -22,11 +22,15 @@ wrap(std::uint64_t value, std::uint64_t bound)
     return value < bound ? value : value % bound;
 }
 
-/** value / divisor, as a shift when the divisor is a power of two. */
+/**
+ * value / divisor, as a shift when the divisor is a power of two
+ * (tested without std::has_single_bit, whose popcount is a libgcc
+ * call on baseline x86-64).
+ */
 std::uint64_t
 divide(std::uint64_t value, std::uint64_t divisor)
 {
-    return std::has_single_bit(divisor)
+    return divisor != 0 && (divisor & (divisor - 1)) == 0
         ? value >> std::countr_zero(divisor)
         : value / divisor;
 }

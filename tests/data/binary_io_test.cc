@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "data/binary_io.hh"
 
@@ -247,6 +249,86 @@ TEST(DatasetBinaryTest, HostileRowCountRejected)
                   kDatasetFormatVersion, sink.bytes());
     std::istringstream in(sealed.str());
     EXPECT_FALSE(readDatasetBinary(in).has_value());
+}
+
+/** An appendDataset payload: columns CPI and IPC, a claimed row
+ * count and the row-major cells that follow it. */
+std::string
+datasetPayload(std::uint64_t rows, const std::vector<double> &cells)
+{
+    ByteSink sink;
+    sink.putU64(2);
+    sink.putString("CPI");
+    sink.putString("IPC");
+    sink.putU64(rows);
+    for (double v : cells)
+        sink.putDouble(v);
+    return sink.bytes();
+}
+
+TEST(DatasetBinaryTest, ParserRejectsShortCellBlocks)
+{
+    const std::vector<double> cells = {1.0, 2.0, 3.0, 4.0};
+    const std::string whole = datasetPayload(2, cells);
+    {
+        ByteParser parser(whole);
+        const auto data = parseDataset(parser);
+        ASSERT_TRUE(data.has_value());
+        EXPECT_EQ(data->numRows(), 2u);
+        EXPECT_EQ(data->at(1, 0), 3.0);
+        EXPECT_TRUE(parser.atEnd());
+    }
+    {
+        // One byte short of the two rows claimed.
+        ByteParser parser(
+            std::string_view(whole).substr(0, whole.size() - 1));
+        EXPECT_FALSE(parseDataset(parser).has_value());
+    }
+    {
+        // Three rows claimed, two present.
+        const std::string overlong = datasetPayload(3, cells);
+        ByteParser parser(overlong);
+        EXPECT_FALSE(parseDataset(parser).has_value());
+    }
+}
+
+TEST(DatasetBinaryTest, ParserRejectsRepeatedColumnNames)
+{
+    ByteSink sink;
+    sink.putU64(2);
+    sink.putString("CPI");
+    sink.putString("CPI");
+    sink.putU64(0);
+    ByteParser parser(sink.bytes());
+    EXPECT_FALSE(parseDataset(parser).has_value());
+}
+
+TEST(DatasetBinaryTest, CellsRoundTripBitForBit)
+{
+    const std::vector<std::uint64_t> patterns = {
+        0x7ff8000000000001ull, // NaN with a payload
+        0xfff80000deadbeefull, // negative NaN with a payload
+        0x8000000000000000ull, // -0.0
+        0x0000000000000001ull, // smallest denormal
+        0x7ff0000000000000ull, // +inf
+        0xfff0000000000000ull, // -inf
+    };
+    std::vector<double> cells;
+    for (std::uint64_t bits : patterns)
+        cells.push_back(std::bit_cast<double>(bits));
+    const std::string payload = datasetPayload(3, cells);
+
+    ByteParser parser(payload);
+    const auto data = parseDataset(parser);
+    ASSERT_TRUE(data.has_value());
+    ASSERT_EQ(data->numRows(), 3u);
+    for (std::size_t i = 0; i < patterns.size(); ++i)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(data->at(i / 2, i % 2)),
+                  patterns[i])
+            << i;
+    ByteSink again;
+    appendDataset(again, *data);
+    EXPECT_EQ(again.bytes(), payload);
 }
 
 TEST(FnvHashTest, KnownVectorsAndChaining)

@@ -561,6 +561,66 @@ TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
     }
 }
 
+TEST(PlanTest, MtreeIdsComeFromTheStoredTreeText)
+{
+    // On a hit, the train stage and planArtifacts key each tree's
+    // ("mtree", key) artifact by the text the train artifact holds
+    // instead of printing the decoded tree again. The keys agree
+    // because that text is what the decoded tree prints.
+    const TempDir dir("mtree_text");
+    const ArtifactStore store(dir.path.string());
+    const pipeline::PlanProtocol protocol = tinyProtocol();
+    pipeline::Pipeline cold_pipe{store};
+    const std::string cold = planText(cold_pipe, "full");
+
+    std::set<std::string> trees;
+    for (const SuiteProfile *suite : {&specCpu2006(), &specOmp2001()}) {
+        SCOPED_TRACE(suite->name);
+        const auto payload = store.load(
+            {"train",
+             trainStageKey(collectStageKey(*suite, protocol.collection),
+                           protocol.model)});
+        ASSERT_TRUE(payload.has_value());
+        std::string text;
+        const auto model = decodeSuiteModel(*payload, &text);
+        ASSERT_TRUE(model.has_value());
+        std::ostringstream printed;
+        writeModelTree(model->tree, printed);
+        EXPECT_EQ(text, printed.str());
+        const ArtifactId id = modelTreeArtifact(text);
+        EXPECT_EQ(store.load(id), text);
+        trees.insert(id.fileName());
+    }
+    ASSERT_EQ(trees.size(), 2u);
+
+    // A warm run with both tree artifacts gone is still all hits and
+    // publishes them again under the same ids, which planArtifacts
+    // lists.
+    const auto stored_trees = [&store] {
+        std::set<std::string> names;
+        for (const ArtifactInfo &info : store.list())
+            if (info.id.kind == "mtree")
+                names.insert(info.id.fileName());
+        return names;
+    };
+    for (const ArtifactInfo &info : store.list()) {
+        if (info.id.kind == "mtree") {
+            ASSERT_TRUE(store.remove(info.id));
+        }
+    }
+    ASSERT_TRUE(stored_trees().empty());
+    pipeline::Pipeline warm_pipe{store};
+    EXPECT_EQ(planText(warm_pipe, "full"), cold);
+    EXPECT_TRUE(warm_pipe.allCached());
+    EXPECT_EQ(stored_trees(), trees);
+    std::set<std::string> listed;
+    for (const ArtifactId &id :
+         pipeline::planArtifacts("full", protocol, store))
+        if (id.kind == "mtree")
+            listed.insert(id.fileName());
+    EXPECT_EQ(listed, trees);
+}
+
 /** FNV-1a of a plan's artifact file names, one per line, in order. */
 std::uint64_t
 artifactListDigest(const std::vector<ArtifactId> &ids)
