@@ -64,7 +64,9 @@ void writeModelTreeFile(const ModelTree &tree,
 
 /**
  * Read a tree previously written by writeModelTree. Malformed input
- * is a fatal error (user input).
+ * is a fatal error (user input). The stream readers here read the
+ * whole stream and parse it with ModelTree::tryLoad; bytes after the
+ * `end` line are ignored.
  */
 ModelTree readModelTree(std::istream &in);
 

@@ -343,6 +343,8 @@ struct Spelling
 
 TEST(SerializeTest, NumberAndTrailerSpellingsKeepTheirOutcome)
 {
+    // Outcomes recorded with the iostream reader that std::from_chars
+    // replaced; the three rows with a comment are the ones it changed.
     const auto with = [](auto set) {
         TreeFields f;
         set(f);
