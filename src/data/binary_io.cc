@@ -120,8 +120,9 @@ bool
 ByteParser::getDoubles(std::span<double> out)
 {
     // Little-endian host (asserted by putLe), so the payload's
-    // doubles are the host's.
-    return take(out.data(), out.size_bytes());
+    // doubles are the host's. An empty span may have no buffer, and
+    // memcpy must not see a null pointer even for zero bytes.
+    return out.empty() ? ok_ : take(out.data(), out.size_bytes());
 }
 
 bool

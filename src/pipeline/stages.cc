@@ -511,15 +511,15 @@ decodeSimilarity(std::string_view payload)
     for (std::string &name : names)
         if (!parser.getString(name))
             return std::nullopt;
+    // The n*n cells and n distances must still be present, so a
+    // claimed size the remaining bytes cannot hold is refused before
+    // it sizes an allocation (n <= 2^16: no overflow).
+    if (n * (n + 1) > parser.remaining() / sizeof(double))
+        return std::nullopt;
     std::vector<double> cells(n * n);
-    for (double &cell : cells)
-        if (!parser.getDouble(cell))
-            return std::nullopt;
     std::vector<double> to_suite(n);
-    for (double &d : to_suite)
-        if (!parser.getDouble(d))
-            return std::nullopt;
-    if (!parser.atEnd())
+    if (!parser.getDoubles(cells) || !parser.getDoubles(to_suite) ||
+        !parser.atEnd())
         return std::nullopt;
     return SimilarityMatrix(std::move(names), std::move(cells),
                             std::move(to_suite));

@@ -237,6 +237,29 @@ TEST(StageCodecTest, ProfileSimilarityAndTransferRoundTrip)
     EXPECT_FALSE(decodeTransferReport("junk").has_value());
 }
 
+TEST(StageCodecTest, SimilarityRefusesSizesItsBytesCannotHold)
+{
+    // 40,000 names are present, but not the 40,000^2 cells they
+    // claim: the decoder refuses before sizing the matrix (12.8 GB).
+    const std::uint64_t n = 40'000;
+    ByteSink sink;
+    sink.putU64(n);
+    for (std::uint64_t i = 0; i < n; ++i)
+        sink.putString("");
+    EXPECT_FALSE(decodeSimilarity(sink.bytes()).has_value());
+
+    // One byte short of a real matrix is refused too.
+    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    const SimilarityMatrix sim(ProfileTable(
+        data, buildSuiteModel(data, miniModelConfig()).tree));
+    const std::string payload = encodeSimilarity(sim);
+    ASSERT_TRUE(decodeSimilarity(payload).has_value());
+    EXPECT_FALSE(
+        decodeSimilarity(std::string_view(payload).substr(
+                             0, payload.size() - 1))
+            .has_value());
+}
+
 TEST(StageRunTest, WarmStagesHitAndMatchColdBytes)
 {
     const TempDir dir("warm");
