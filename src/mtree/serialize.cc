@@ -1,6 +1,8 @@
 #include "mtree/serialize.hh"
 
 #include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -43,13 +45,13 @@ isSpace(char c)
 }
 
 /**
- * One whole token as a number, through std::from_chars. Two spellings
- * differ from from_chars so that texts earlier versions read (with
- * iostreams) keep their outcome: a leading '+' is taken, and inf and
- * nan are refused. A '-' in an unsigned field, a value out of range
- * (1e400, and 1e-400, which underflows) and anything glued to the
- * number are refused; tests/mtree/serialize_test.cc pins each
- * spelling.
+ * One whole token as a number, through std::from_chars. Three
+ * spellings differ from from_chars so that texts earlier versions
+ * read (with iostreams) keep their outcome: a leading '+' is taken,
+ * inf and nan are refused, and a value that underflows reads as zero
+ * or the nearest denormal. A value that overflows (1e400), a '-' in
+ * an unsigned field and anything glued to the number are refused;
+ * tests/mtree/serialize_test.cc pins each spelling.
  */
 template <typename T>
 bool
@@ -70,6 +72,20 @@ parseNumber(std::string_view token, T &out)
     }
     const char *end = token.data() + token.size();
     const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    if constexpr (std::is_floating_point_v<T>) {
+        // from_chars reports underflow as out of range (some library
+        // versions a denormal result too) and leaves `out` alone;
+        // strtod rounds such a token, and overflows to inf.
+        if (ec == std::errc::result_out_of_range && ptr == end) {
+            const std::string copy(token);
+            const T value =
+                static_cast<T>(std::strtod(copy.c_str(), nullptr));
+            if (std::isinf(value))
+                return false;
+            out = value;
+            return true;
+        }
+    }
     return ec == std::errc() && ptr == end;
 }
 
@@ -216,6 +232,14 @@ ModelTree::tryLoad(std::string_view text, std::string *err)
         !in.number(tree.targetMax_) || !in.number(tree.globalSd_) ||
         !in.number(clamp)) {
         parseFail(err, "model tree: missing range line");
+        return std::nullopt;
+    }
+    // predict() clamps to [min - sd, max + sd], and std::clamp needs
+    // its bounds in order; a saved tree always has them so.
+    if (!(tree.targetMin_ <= tree.targetMax_) ||
+        !(tree.globalSd_ >= 0.0)) {
+        parseFail(err, "model tree: range minimum above maximum or "
+                       "negative sd");
         return std::nullopt;
     }
     tree.config_.clampPredictions = clamp != 0;

@@ -175,6 +175,25 @@ TEST(SerializeTest, TryReadRejectsOutOfSchemaAttribute)
     EXPECT_NE(err.find("outside schema"), std::string::npos);
 }
 
+TEST(SerializeTest, TryReadRejectsRangesClampCannotUse)
+{
+    // Predictions clamp to [min - sd, max + sd]; bounds out of order
+    // are a precondition violation of std::clamp, not a model.
+    for (const char *range : {"range 1 0 0.5 1\n", "range 0 1 -0.5 1\n"}) {
+        SCOPED_TRACE(range);
+        std::stringstream buffer(std::string("wct-model-tree v1\n"
+                                             "target y\n"
+                                             "schema 2 x y\n") +
+                                 range +
+                                 "node leaf 10 0.5 0.5 0\n"
+                                 "end\n");
+        std::string err;
+        EXPECT_FALSE(tryReadModelTree(buffer, &err).has_value());
+        EXPECT_NE(err.find("range minimum above maximum"),
+                  std::string::npos);
+    }
+}
+
 TEST(SerializeTest, TryReadBoundsNestingDepth)
 {
     // A hostile input that nests splits forever must be cut off by
@@ -344,7 +363,7 @@ struct Spelling
 TEST(SerializeTest, NumberAndTrailerSpellingsKeepTheirOutcome)
 {
     // Outcomes recorded with the iostream reader that std::from_chars
-    // replaced; the three rows with a comment are the ones it changed.
+    // replaced; the two rows with a comment are the ones it changed.
     const auto with = [](auto set) {
         TreeFields f;
         set(f);
@@ -383,10 +402,12 @@ TEST(SerializeTest, NumberAndTrailerSpellingsKeepTheirOutcome)
              f.splitValue = "4.9406564584124654e-324";
          }),
          nullptr},
-        // The iostream reader took this as 0.
         {"underflow",
-         with([](TreeFields &f) { f.splitValue = "1e-400"; }), false,
-         {}, "malformed split node"},
+         with([](TreeFields &f) { f.splitValue = "1e-400"; }), true,
+         with([](TreeFields &f) { f.splitValue = "0"; }), nullptr},
+        {"negative underflow",
+         with([](TreeFields &f) { f.splitValue = "-1e-400"; }), true,
+         with([](TreeFields &f) { f.splitValue = "-0"; }), nullptr},
         {"hex", with([](TreeFields &f) { f.splitValue = "0x10"; }),
          false, {}, "malformed split node"},
         {"junk suffix",
