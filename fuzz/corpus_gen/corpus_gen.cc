@@ -2,8 +2,8 @@
  * @file
  * Deterministic seed-corpus generator: `wct_fuzz_corpus_gen <root>`
  * writes the seed inputs for every fuzz harness under
- * <root>/<harness>/, using the *real* writers (writeEnvelope,
- * writeDatasetBinary, writeSuiteData, encodeRequest/encodeResponse,
+ * <root>/<harness>/, using the *real* writers (writeEnvelope, the
+ * stage encoders over a mini suite, encodeRequest/encodeResponse,
  * ModelTree::save, ArtifactStore::store) so mutation starts at the
  * valid-input frontier instead of spending its budget rediscovering
  * magics and checksums.
@@ -19,12 +19,12 @@
 #include <sstream>
 #include <string>
 
-#include "core/suite_io.hh"
 #include "data/artifact_store.hh"
 #include "data/binary_io.hh"
 #include "data/store_wire.hh"
 #include "mtree/model_tree.hh"
 #include "mtree/serialize.hh"
+#include "pipeline/stages.hh"
 #include "serve/wire.hh"
 #include "util/rng.hh"
 
@@ -64,29 +64,34 @@ sampleDataset(std::size_t rows, std::uint64_t seed)
     return data;
 }
 
+/** The envelope magic fuzz_envelope reads under. */
+constexpr std::string_view kEnvelopeMagic("WCTFUZZ\0", 8);
+
 std::string
-datasetBytes(const Dataset &data)
+envelopeBytes(std::string_view payload)
 {
     std::ostringstream out;
-    writeDatasetBinary(out, data);
+    writeEnvelope(out, kEnvelopeMagic, 1, payload);
     return out.str();
 }
 
-std::string
-suiteBytes()
+/** A three-benchmark suite small enough to collect in a blink. */
+SuiteProfile
+miniSuite()
 {
-    SuiteData suite;
-    suite.suiteName = "fuzz-suite";
-    for (int b = 0; b < 2; ++b) {
-        BenchmarkData bench;
-        bench.name = "bench." + std::to_string(b);
-        bench.instructionWeight = 0.5 + 0.25 * b;
-        bench.samples = sampleDataset(4, 100 + b);
-        suite.benchmarks.push_back(std::move(bench));
+    SuiteProfile suite;
+    suite.name = "fuzz-suite";
+    for (int i = 0; i < 3; ++i) {
+        BenchmarkProfile bench;
+        bench.name = "fuzz." + std::to_string(i);
+        bench.instructionWeight = 0.5 + 0.5 * i;
+        PhaseProfile phase;
+        phase.loadFrac = 0.2 + 0.04 * i;
+        phase.dataFootprint = 1u << (18 + i);
+        bench.phases.push_back(phase);
+        suite.benchmarks.push_back(bench);
     }
-    std::ostringstream out;
-    writeSuiteData(out, suite);
-    return out.str();
+    return suite;
 }
 
 ModelTree
@@ -113,17 +118,39 @@ treeText(const ModelTree &tree)
 void
 envelopeSeeds(const fs::path &root)
 {
-    const std::string dataset = datasetBytes(sampleDataset(6, 7));
+    using namespace wct::pipeline;
+    const std::string dataset =
+        envelopeBytes(encodeShardSamples(sampleDataset(6, 7)));
     emit(root, "fuzz_envelope", "dataset-small", dataset);
     emit(root, "fuzz_envelope", "dataset-empty-rows",
-         datasetBytes(Dataset({"IPC", "CPI"})));
+         envelopeBytes(encodeShardSamples(Dataset({"IPC", "CPI"}))));
     emit(root, "fuzz_envelope", "dataset-truncated",
          dataset.substr(0, dataset.size() * 3 / 5));
-    emit(root, "fuzz_envelope", "suite-mini", suiteBytes());
-    std::ostringstream empty;
-    writeEnvelope(empty, std::string_view(kDatasetMagic, 8),
-                  kDatasetFormatVersion, "");
-    emit(root, "fuzz_envelope", "empty-payload", empty.str());
+    emit(root, "fuzz_envelope", "empty-payload", envelopeBytes(""));
+
+    // One real payload of each stage kind, bare as the store hands
+    // it to the decoder.
+    CollectionConfig config;
+    config.intervalInstructions = 2048;
+    config.baseIntervals = 40;
+    config.warmupInstructions = 20'000;
+    const SuiteData data = collectSuite(miniSuite(), config);
+    SuiteModelConfig model_config;
+    model_config.trainFraction = 0.5;
+    model_config.tree.minLeafInstances = 10;
+    const SuiteModel model = buildSuiteModel(data, model_config);
+    TransferabilityConfig transfer;
+    transfer.bootstrapReplicates = 50;
+    transfer.modelName = "fuzz-suite";
+    transfer.targetName = "fuzz-suite.test";
+    emit(root, "fuzz_envelope", "stage-collect-shard",
+         encodeShardSamples(data.benchmarks[0].samples));
+    emit(root, "fuzz_envelope", "stage-train", encodeSuiteModel(model));
+    emit(root, "fuzz_envelope", "stage-profile",
+         encodeProfileTable(ProfileTable(data, model.tree)));
+    emit(root, "fuzz_envelope", "stage-transfer",
+         encodeTransferReport(assessTransferability(
+             model.tree, model.train, model.test, transfer)));
 }
 
 void
@@ -253,7 +280,8 @@ artifactSeeds(const fs::path &root)
                            std::istreambuf_iterator<char>());
     };
     emit(root, "fuzz_artifact_store", "artifact-match",
-         fileBytes(match, datasetBytes(sampleDataset(5, 33))));
+         fileBytes(match, pipeline::encodeShardSamples(
+                              sampleDataset(5, 33))));
     emit(root, "fuzz_artifact_store", "artifact-mismatched-kind",
          fileBytes(mismatch, "payload under the wrong kind"));
     emit(root, "fuzz_artifact_store", "artifact-tree-payload",

@@ -38,17 +38,35 @@ fuzzId()
     return id;
 }
 
+/** A store in a scratch directory, removed when the harness exits. */
+struct ScratchStore
+{
+    std::string dir;
+    ArtifactStore store;
+
+    ScratchStore()
+        : dir(std::filesystem::temp_directory_path().string() +
+              "/wct_fuzz_store." + std::to_string(::getpid())),
+          store(dir)
+    {
+        std::filesystem::create_directories(dir);
+    }
+
+    ScratchStore(const ScratchStore &) = delete;
+    ScratchStore &operator=(const ScratchStore &) = delete;
+
+    ~ScratchStore()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir, ec);
+    }
+};
+
 ArtifactStore &
 scratchStore()
 {
-    static ArtifactStore store = [] {
-        const std::string dir =
-            std::filesystem::temp_directory_path().string() +
-            "/wct_fuzz_store." + std::to_string(::getpid());
-        std::filesystem::create_directories(dir);
-        return ArtifactStore(dir);
-    }();
-    return store;
+    static ScratchStore scratch;
+    return scratch.store;
 }
 
 } // namespace

@@ -1,20 +1,27 @@
 /**
  * @file
- * Fuzz harness for the untrusted on-disk decoders of data/binary_io
- * and core/suite_io: readEnvelope under every per-caller payload cap,
- * the dataset file reader, and the suite payload parser.
+ * Fuzz harness for the untrusted byte decoders of data/binary_io and
+ * pipeline/stages: readEnvelope under every per-caller payload cap,
+ * the dataset payload parser, and the four stage decoders a plan runs
+ * on what the store hands back (decodeShardSamples, decodeSuiteModel,
+ * decodeProfileTable, decodeTransferReport).
  *
  * Invariants checked on top of "never crash":
- *  - a payload accepted under cap C never exceeds C bytes;
- *  - an accepted payload survives a write-then-reread round trip;
- *  - an accepted dataset re-serializes to bytes that parse back to
- *    the same dataset (serializer/parser agreement).
+ *  - a payload accepted under cap C never exceeds C bytes and
+ *    survives a write-then-reread round trip;
+ *  - an accepted value re-encodes to bytes that decode and re-encode
+ *    identically (serializer/parser agreement);
+ *  - an accepted profile table renders and builds its
+ *    SimilarityMatrix;
+ *  - an accepted model's train and test columns are its tree's
+ *    schema;
+ *  - an accepted transfer report renders.
  *
- * The raw parsers (parseDataset, parseSuiteDataPayload) are driven on
- * the *unenveloped* input too: mutated bytes almost never carry a
- * valid FNV-1a checksum, and the checksum must not shield the parsers
- * behind it from hostile bytes (a corrupt-but-checksummed file is
- * exactly what a buggy writer produces).
+ * The parsers and stage decoders are driven on the raw input:
+ * mutated bytes almost never carry a valid FNV-1a checksum, and the
+ * checksum must not shield the decoders behind it from hostile bytes
+ * (a corrupt-but-checksummed artifact is exactly what a buggy writer
+ * or a lying store daemon delivers; see data/remote_store.hh).
  */
 
 #include "fuzz/driver/driver.hh"
@@ -23,75 +30,89 @@
 #include <string>
 #include <string_view>
 
-#include "core/suite_io.hh"
+#include "core/similarity.hh"
 #include "data/binary_io.hh"
+#include "pipeline/stages.hh"
 #include "util/logging.hh"
 
 namespace
 {
 
 using namespace wct;
+using namespace wct::pipeline;
+
+/** The harness's envelope magic: the reader takes any 8 bytes. */
+constexpr std::string_view kMagic("WCTFUZZ\0", 8);
+constexpr std::uint32_t kVersion = 1;
 
 void
 checkEnvelope(std::string_view bytes, std::uint64_t cap)
 {
     std::istringstream in{std::string(bytes)};
-    const auto payload = readEnvelope(
-        in, std::string_view(kDatasetMagic, 8), kDatasetFormatVersion,
-        cap);
+    const auto payload = readEnvelope(in, kMagic, kVersion, cap);
     if (!payload)
         return;
     WCT_FUZZ_ASSERT(payload->size() <= cap);
     // Round trip: re-sealing the payload must re-read identically.
     std::ostringstream sealed;
-    writeEnvelope(sealed, std::string_view(kDatasetMagic, 8),
-                  kDatasetFormatVersion, *payload);
+    writeEnvelope(sealed, kMagic, kVersion, *payload);
     std::istringstream again(sealed.str());
-    const auto reread = readEnvelope(
-        again, std::string_view(kDatasetMagic, 8),
-        kDatasetFormatVersion, cap);
+    const auto reread = readEnvelope(again, kMagic, kVersion, cap);
     WCT_FUZZ_ASSERT(reread.has_value() && *reread == *payload);
 }
 
 void
-checkDatasetFile(std::string_view bytes)
+checkDataset(std::string_view bytes)
 {
-    std::istringstream in{std::string(bytes)};
-    const auto data = readDatasetBinary(in);
+    ByteParser parser(bytes);
+    const auto data = parseDataset(parser);
     if (!data)
         return;
-    std::ostringstream out;
-    writeDatasetBinary(out, *data);
-    std::istringstream back(out.str());
-    const auto reread = readDatasetBinary(back);
-    WCT_FUZZ_ASSERT(reread.has_value());
-    std::ostringstream out2;
-    writeDatasetBinary(out2, *reread);
-    WCT_FUZZ_ASSERT(out.str() == out2.str());
+    ByteSink sink;
+    appendDataset(sink, *data);
+    ByteParser again(sink.bytes());
+    const auto reread = parseDataset(again);
+    WCT_FUZZ_ASSERT(reread.has_value() && again.atEnd());
+}
+
+/** An accepted value's encoding decodes and re-encodes to itself. */
+template <typename Value, typename Encode, typename Decode>
+void
+checkReencodes(const Value &value, Encode encode, Decode decode)
+{
+    const std::string encoded = encode(value);
+    const auto again = decode(encoded);
+    WCT_FUZZ_ASSERT(again.has_value());
+    WCT_FUZZ_ASSERT(encode(*again) == encoded);
 }
 
 void
-checkRawParsers(std::string_view bytes)
+checkStageDecoders(std::string_view bytes)
 {
-    {
-        ByteParser parser(bytes);
-        const auto data = parseDataset(parser);
-        if (data) {
-            ByteSink sink;
-            appendDataset(sink, *data);
-            ByteParser again(sink.bytes());
-            const auto reread = parseDataset(again);
-            WCT_FUZZ_ASSERT(reread.has_value() && again.atEnd());
-        }
+    if (const auto samples = decodeShardSamples(bytes))
+        checkReencodes(*samples, encodeShardSamples, decodeShardSamples);
+
+    if (const auto model = decodeSuiteModel(bytes)) {
+        WCT_FUZZ_ASSERT(model->train.columnNames() ==
+                        model->tree.schema());
+        WCT_FUZZ_ASSERT(model->test.columnNames() ==
+                        model->tree.schema());
+        checkReencodes(*model, encodeSuiteModel,
+                       [](std::string_view payload) {
+                           return decodeSuiteModel(payload);
+                       });
     }
-    {
-        const auto suite = parseSuiteDataPayload(bytes);
-        if (suite) {
-            std::ostringstream out;
-            writeSuiteData(out, *suite);
-            std::istringstream back(out.str());
-            WCT_FUZZ_ASSERT(readSuiteData(back).has_value());
-        }
+
+    if (const auto table = decodeProfileTable(bytes)) {
+        (void)table->render();
+        (void)SimilarityMatrix(*table).render();
+        checkReencodes(*table, encodeProfileTable, decodeProfileTable);
+    }
+
+    if (const auto report = decodeTransferReport(bytes)) {
+        (void)report->render();
+        checkReencodes(*report, encodeTransferReport,
+                       decodeTransferReport);
     }
 }
 
@@ -108,7 +129,7 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
          {std::uint64_t(0), std::uint64_t(16), std::uint64_t(4096),
           kMaxFilePayload})
         checkEnvelope(bytes, cap);
-    checkDatasetFile(bytes);
-    checkRawParsers(bytes);
+    checkDataset(bytes);
+    checkStageDecoders(bytes);
     return 0;
 }

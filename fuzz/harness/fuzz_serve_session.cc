@@ -17,6 +17,7 @@
 #include "fuzz/driver/driver.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 
@@ -72,6 +73,14 @@ struct LiveService
                          err.c_str());
             std::abort();
         }
+    }
+
+    /** At exit: stop the server (which unlinks its socket), then
+     * remove the model file. */
+    ~LiveService()
+    {
+        socket.stop();
+        std::remove((path + ".mtree").c_str());
     }
 
     static ServerConfig

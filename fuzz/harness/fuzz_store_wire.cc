@@ -73,6 +73,15 @@ struct LiveStoreDaemon
         }
     }
 
+    /** At exit: stop the daemon (which unlinks its socket), then
+     * remove its artifact directory. */
+    ~LiveStoreDaemon()
+    {
+        socket.stop();
+        std::error_code ec;
+        fs::remove_all(dir, ec);
+    }
+
     static StoreServiceConfig
     serviceConfig()
     {

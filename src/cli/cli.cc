@@ -13,7 +13,6 @@
 #include "core/subset.hh"
 #include "core/transferability.hh"
 #include "data/artifact_store.hh"
-#include "data/binary_io.hh"
 #include "data/csv.hh"
 #include "data/remote_store.hh"
 #include "data/store_wire.hh"
@@ -581,6 +580,9 @@ cmdProfile(const ParsedOptions &options, std::ostream &out)
     const ModelTree tree =
         readModelTreeFile(options.get("model"));
     const SuiteData data = loadSuiteDirectory(options.get("data"));
+    if (options.has("similarity") && data.benchmarks.size() < 2)
+        wct_fatal("--similarity needs at least two benchmarks; '",
+                  options.get("data"), "' holds one");
     const ProfileTable table(data, tree);
     out << table.render();
     if (options.has("similarity")) {
@@ -883,8 +885,6 @@ cmdVersion(std::ostream &out)
         << "model-tree format: " << kModelTreeMagicLine << "\n"
         << "compiled-tree layout: v" << kCompiledTreeLayoutVersion
         << " (block " << CompiledTree::kBlockRows << " rows)\n"
-        << "dataset format: " << kDatasetMagic << " v"
-        << kDatasetFormatVersion << "\n"
         << "artifact format: " << kArtifactMagic << " v"
         << kArtifactFormatVersion << "\n"
         << "serve wire format: " << serve::kWireMagic << " v"

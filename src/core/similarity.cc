@@ -20,27 +20,20 @@ SimilarityMatrix::SimilarityMatrix(const ProfileTable &table,
     matrix_.assign(n * n, 0.0);
     toSuite_.assign(n, 0.0);
 
+    // row() searches by name, so each row is looked up once.
+    std::vector<const BenchmarkProfileRow *> rows;
+    rows.reserve(n);
+    for (const std::string &name : names_)
+        rows.push_back(&table.row(name));
+
     for (std::size_t i = 0; i < n; ++i) {
-        const BenchmarkProfileRow &a = table.row(names_[i]);
-        toSuite_[i] = ProfileTable::distance(a, table.suiteRow());
+        toSuite_[i] = ProfileTable::distance(*rows[i], table.suiteRow());
         for (std::size_t j = i + 1; j < n; ++j) {
-            const double d =
-                ProfileTable::distance(a, table.row(names_[j]));
+            const double d = ProfileTable::distance(*rows[i], *rows[j]);
             matrix_[i * n + j] = d;
             matrix_[j * n + i] = d;
         }
     }
-}
-
-SimilarityMatrix::SimilarityMatrix(std::vector<std::string> names,
-                                   std::vector<double> matrix,
-                                   std::vector<double> toSuite)
-    : names_(std::move(names)), matrix_(std::move(matrix)),
-      toSuite_(std::move(toSuite))
-{
-    wct_assert(matrix_.size() == names_.size() * names_.size() &&
-                   toSuite_.size() == names_.size(),
-               "similarity matrix arity mismatch");
 }
 
 double

@@ -27,15 +27,6 @@ class SimilarityMatrix
     explicit SimilarityMatrix(const ProfileTable &table,
                               std::vector<std::string> subset = {});
 
-    /**
-     * Rebuild from previously computed distances (the pipeline's
-     * similarity-stage artifact decode). `matrix` is n x n row-major
-     * and `toSuite` has one entry per name.
-     */
-    SimilarityMatrix(std::vector<std::string> names,
-                     std::vector<double> matrix,
-                     std::vector<double> toSuite);
-
     const std::vector<std::string> &names() const { return names_; }
 
     /** Distance (percent, Equation 4) between benchmarks i and j. */

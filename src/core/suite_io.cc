@@ -10,9 +10,6 @@ namespace
 
 constexpr char kSuiteMagic[] = "WCTSUIT"; ///< 7 chars + NUL = 8 bytes
 
-/** Cap on parsed benchmark counts (a corrupt count must not OOM). */
-constexpr std::uint64_t kMaxReasonableBenchmarks = 1u << 16;
-
 } // namespace
 
 void
@@ -28,44 +25,6 @@ writeSuiteData(std::ostream &out, const SuiteData &data)
     }
     writeEnvelope(out, std::string_view(kSuiteMagic, 8),
                   kSuiteDataFormatVersion, sink.bytes());
-}
-
-std::optional<SuiteData>
-readSuiteData(std::istream &in)
-{
-    const auto payload =
-        readEnvelope(in, std::string_view(kSuiteMagic, 8),
-                     kSuiteDataFormatVersion, kMaxFilePayload);
-    if (!payload)
-        return std::nullopt;
-    return parseSuiteDataPayload(*payload);
-}
-
-std::optional<SuiteData>
-parseSuiteDataPayload(std::string_view payload)
-{
-    ByteParser parser(payload);
-    SuiteData data;
-    std::uint64_t benchmarks = 0;
-    if (!parser.getString(data.suiteName) ||
-        !parser.getU64(benchmarks) ||
-        benchmarks > kMaxReasonableBenchmarks)
-        return std::nullopt;
-    data.benchmarks.reserve(benchmarks);
-    for (std::uint64_t i = 0; i < benchmarks; ++i) {
-        BenchmarkData bench;
-        if (!parser.getString(bench.name) ||
-            !parser.getDouble(bench.instructionWeight))
-            return std::nullopt;
-        auto samples = parseDataset(parser);
-        if (!samples)
-            return std::nullopt;
-        bench.samples = std::move(*samples);
-        data.benchmarks.push_back(std::move(bench));
-    }
-    if (!parser.atEnd())
-        return std::nullopt;
-    return data;
 }
 
 } // namespace wct

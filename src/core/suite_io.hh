@@ -1,16 +1,15 @@
 /**
  * @file
- * Binary serialization of collected suites (SuiteData), used by the
- * pipeline's collect stage artifacts and the determinism checks.
+ * Binary serialization of collected suites (SuiteData): one
+ * checksummed envelope (data/binary_io) holding every benchmark's
+ * samples with exact double bit patterns.
  *
- * The paper's workflow (Sections IV-VI) re-uses the same collected
- * suites across table generation, similarity, and transferability
- * runs, so a collected SuiteData serializes once into a checksummed
- * binary envelope (data/binary_io) with exact double bit patterns — a
- * reload is byte-identical to the collection that produced it. The
- * content addressing that used to live next to this code (PR 3's
- * collect_cache) is now the pipeline artifact store; see
- * pipeline/stages.hh for the collect stage key.
+ * No artifact holds a whole suite: collection stores one artifact per
+ * (benchmark, shard) (pipeline/stages.hh). These bytes pin a
+ * collection instead: the determinism checks and perfbench's
+ * `sim.suite_digest` hash them, so two collections agree exactly when
+ * their bytes do. kSuiteDataFormatVersion is also hashed into the collect
+ * stage key every downstream stage chains.
  */
 
 #ifndef WCT_CORE_SUITE_IO_HH
@@ -18,8 +17,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
-#include <string_view>
 
 #include "core/collect.hh"
 
@@ -31,20 +28,6 @@ constexpr std::uint32_t kSuiteDataFormatVersion = 1;
 
 /** Serialize a collected suite as a checksummed binary stream. */
 void writeSuiteData(std::ostream &out, const SuiteData &data);
-
-/**
- * Read a serialized suite; nullopt on any corruption, truncation,
- * version mismatch, or oversized claimed payload (kMaxFilePayload).
- */
-std::optional<SuiteData> readSuiteData(std::istream &in);
-
-/**
- * Parse a suite payload (the envelope's contents); nullopt on any
- * malformed byte. Split out from readSuiteData so the fuzz harness
- * can drive the parser directly, without first forging a valid
- * envelope checksum around each mutated input.
- */
-std::optional<SuiteData> parseSuiteDataPayload(std::string_view payload);
 
 } // namespace wct
 

@@ -5,8 +5,8 @@
  * model registry.
  *
  * Every cached intermediate — collected per-shard samples, trained
- * model trees, classified profile tables, similarity matrices,
- * transferability reports — is one *artifact*: a binary-envelope file
+ * model trees, classified profile tables, transferability reports —
+ * is one *artifact*: a binary-envelope file
  * (data/binary_io layout, FNV-1a checksummed) addressed by a `kind`
  * string plus a 64-bit content key. Keys are derived exclusively
  * through KeyBuilder, the single key-derivation implementation in the

@@ -249,28 +249,4 @@ parseDataset(ByteParser &parser)
     return Dataset(std::move(names), std::move(cells));
 }
 
-void
-writeDatasetBinary(std::ostream &out, const Dataset &data)
-{
-    ByteSink sink;
-    appendDataset(sink, data);
-    writeEnvelope(out, std::string_view(kDatasetMagic, 8),
-                  kDatasetFormatVersion, sink.bytes());
-}
-
-std::optional<Dataset>
-readDatasetBinary(std::istream &in)
-{
-    const auto payload = readEnvelope(
-        in, std::string_view(kDatasetMagic, 8), kDatasetFormatVersion,
-        kMaxFilePayload);
-    if (!payload)
-        return std::nullopt;
-    ByteParser parser(*payload);
-    auto data = parseDataset(parser);
-    if (!data || !parser.atEnd())
-        return std::nullopt;
-    return data;
-}
-
 } // namespace wct

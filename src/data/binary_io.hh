@@ -1,16 +1,17 @@
 /**
  * @file
- * Binary serialization primitives and the on-disk Dataset format.
+ * Binary serialization primitives, the checksummed envelope and the
+ * Dataset payload layout.
  *
- * The collection cache stores datasets as checksummed little-endian
- * binary envelopes instead of CSV: doubles round-trip bit-exactly
- * (cache loads are byte-identical to the collection that produced
- * them), files are ~3x smaller, and a flipped bit is detected by the
- * FNV-1a checksum instead of silently parsing into garbage.
+ * Artifacts hold datasets as little-endian binary instead of CSV:
+ * doubles round-trip bit-exactly (a cache load is byte-identical to
+ * the collection that produced it), the bytes are ~3x smaller, and a
+ * flipped bit is detected by the envelope's FNV-1a checksum instead
+ * of silently parsing into garbage.
  *
  * Envelope layout (all integers little-endian):
  *
- *   magic     8 bytes, caller-chosen (e.g. "WCTDSET\0")
+ *   magic     8 bytes, caller-chosen (e.g. "WCTSUIT\0")
  *   version   u32, caller-chosen format version
  *   size      u64, payload byte count
  *   payload   size bytes
@@ -18,7 +19,7 @@
  *
  * Readers return std::nullopt on any mismatch — bad magic, unknown
  * version, truncation, checksum failure — so callers can fall back
- * (e.g. re-collect and overwrite a corrupt cache entry) instead of
+ * (e.g. recompute and overwrite a corrupt cache entry) instead of
  * dying inside the parser.
  */
 
@@ -151,15 +152,9 @@ void appendDataset(ByteSink &sink, const Dataset &data);
 /** Parse a dataset appended by appendDataset; nullopt on malformed. */
 std::optional<Dataset> parseDataset(ByteParser &parser);
 
-/** Magic and version of standalone .wctdata dataset files. */
-constexpr char kDatasetMagic[] = "WCTDSET"; ///< 7 chars + NUL = 8 bytes
+/** Version of the appendDataset layout inside shard and train
+ * payloads; hashed into every collect-shard key. */
 constexpr std::uint32_t kDatasetFormatVersion = 1;
-
-/** Serialize one dataset as a standalone checksummed stream. */
-void writeDatasetBinary(std::ostream &out, const Dataset &data);
-
-/** Read a standalone dataset stream; nullopt on any mismatch. */
-std::optional<Dataset> readDatasetBinary(std::istream &in);
 
 } // namespace wct
 

@@ -363,12 +363,6 @@ writeModelTreeFile(const ModelTree &tree, const std::string &path)
 }
 
 ModelTree
-readModelTree(std::istream &in)
-{
-    return ModelTree::load(in);
-}
-
-ModelTree
 readModelTreeFile(const std::string &path)
 {
     std::ifstream in(path);

@@ -63,14 +63,11 @@ void writeModelTreeFile(const ModelTree &tree,
                         const std::string &path);
 
 /**
- * Read a tree previously written by writeModelTree. Malformed input
- * is a fatal error (user input). The stream readers here read the
- * whole stream and parse it with ModelTree::tryLoad; bytes after the
- * `end` line are ignored.
+ * Read a tree previously written by writeModelTree from a file; fatal
+ * on I/O failure and on malformed input (user input). The readers
+ * here read the whole stream and parse it with ModelTree::tryLoad;
+ * bytes after the `end` line are ignored.
  */
-ModelTree readModelTree(std::istream &in);
-
-/** Read a tree from a file; fatal on I/O failure. */
 ModelTree readModelTreeFile(const std::string &path);
 
 /**

@@ -2,9 +2,8 @@
  * @file
  * The staged-execution layer: one Pipeline drives the paper's fixed
  * dataflow — collect PMU intervals, train the suite M5' tree,
- * classify samples into leaf profiles, compute similarity, assess
- * transferability — as content-addressed stages over an
- * ArtifactStore.
+ * classify samples into leaf profiles, assess transferability — as
+ * content-addressed stages over an ArtifactStore.
  *
  * Every stage declares its inputs as a content key (derived with the
  * store's KeyBuilder from canonical encodings of everything the

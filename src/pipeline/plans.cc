@@ -10,6 +10,7 @@
 #include <string_view>
 #include <utility>
 
+#include "core/similarity.hh"
 #include "pmu/events.hh"
 #include "util/logging.hh"
 #include "util/string_utils.hh"
@@ -338,7 +339,7 @@ renderTableIIObservations(std::ostream &out, const ProfileTable &table)
 /**
  * Table III: the paper's subset of the CPU2006 distance matrix, the
  * pairs its text highlights and the subset's extremes, all from the
- * profile table (no similarity artifact).
+ * profile table.
  */
 void
 renderTableIII(std::ostream &out, const ProfileTable &table)
@@ -552,8 +553,6 @@ runPlan(Pipeline &pipe, const std::string &name,
             continue;
         const ProfileTable &table = tables.emplace_back(profileStage(
             pipe, suite.name, data, model.tree, step.trainKey));
-        const SimilarityMatrix sim = similarityStage(
-            pipe, table, profileStageKey(step.trainKey), {});
 
         out << "== " << suite.name << " ==\n";
         out << "benchmarks: " << suite.benchmarks.size()
@@ -561,7 +560,7 @@ runPlan(Pipeline &pipe, const std::string &name,
             << ", leaf models: " << model.tree.numLeaves()
             << ", mean CPI: " << model.meanCpi << "\n\n";
         out << table.render() << "\n";
-        out << sim.render() << "\n";
+        out << SimilarityMatrix(table).render() << "\n";
     }
 
     std::vector<TransferabilityReport> reports;
@@ -591,11 +590,8 @@ planArtifacts(const std::string &name, const PlanProtocol &protocol,
              collectShardArtifacts(*step.suite, protocol.collection))
             ids.push_back(std::move(id));
         ids.push_back({"train", step.trainKey});
-        if (plan.tables) {
-            const std::uint64_t profile = profileStageKey(step.trainKey);
-            ids.push_back({"profile", profile});
-            ids.push_back({"similarity", similarityStageKey(profile, {})});
-        }
+        if (plan.tables)
+            ids.push_back({"profile", profileStageKey(step.trainKey)});
     }
     for (const TransferStep &transfer : plan.transfers)
         ids.push_back(

@@ -152,12 +152,14 @@ appendProfileRow(ByteSink &sink, const BenchmarkProfileRow &row)
     sink.putDouble(row.meanCpi);
 }
 
+/** Parse a row, which must hold one share per leaf model. */
 bool
-parseProfileRow(ByteParser &parser, BenchmarkProfileRow &row)
+parseProfileRow(ByteParser &parser, std::uint64_t models,
+                BenchmarkProfileRow &row)
 {
     std::uint64_t leaves = 0;
     if (!parser.getString(row.name) || !parser.getU64(leaves) ||
-        leaves > kMaxReasonableLeaves)
+        leaves != models)
         return false;
     row.percent.resize(leaves);
     for (double &p : row.percent)
@@ -340,20 +342,6 @@ profileStageKey(std::uint64_t trainKey)
 }
 
 std::uint64_t
-similarityStageKey(std::uint64_t profileKey,
-                   const std::vector<std::string> &subset)
-{
-    KeyBuilder key;
-    key.str("similarity")
-        .u32(kSimilarityPayloadVersion)
-        .u64(profileKey)
-        .u64(subset.size());
-    for (const std::string &name : subset)
-        key.str(name);
-    return key.key();
-}
-
-std::uint64_t
 transferStageKey(std::uint64_t modelTrainKey,
                  std::uint64_t targetTrainKey,
                  std::string_view targetSelector,
@@ -377,13 +365,6 @@ encodeSuiteData(const SuiteData &data)
     std::ostringstream out;
     writeSuiteData(out, data);
     return std::move(out).str();
-}
-
-std::optional<SuiteData>
-decodeSuiteData(std::string_view payload)
-{
-    std::istringstream in{std::string(payload)};
-    return readSuiteData(in);
 }
 
 std::string
@@ -425,12 +406,14 @@ decodeSuiteModel(std::string_view payload, std::string *treeText)
         return std::nullopt;
     model.tree = std::move(*tree);
 
+    // Both sets are what the tree was trained and tested on: columns
+    // of another schema would fail the tree's schema check later.
     auto train = parseDataset(parser);
-    if (!train)
+    if (!train || train->columnNames() != model.tree.schema())
         return std::nullopt;
     model.train = std::move(*train);
     auto test = parseDataset(parser);
-    if (!test)
+    if (!test || test->columnNames() != model.tree.schema())
         return std::nullopt;
     model.test = std::move(*test);
 
@@ -466,63 +449,22 @@ decodeProfileTable(std::string_view payload)
     ByteParser parser(payload);
     std::uint64_t models = 0;
     std::uint64_t count = 0;
-    if (!parser.getU64(models) || models > kMaxReasonableLeaves ||
-        !parser.getU64(count) || count > kMaxReasonableRows)
+    if (!parser.getU64(models) || models == 0 ||
+        models > kMaxReasonableLeaves || !parser.getU64(count) ||
+        count < 2 || count > kMaxReasonableRows)
         return std::nullopt;
 
     std::vector<BenchmarkProfileRow> rows(count);
     for (BenchmarkProfileRow &row : rows)
-        if (!parseProfileRow(parser, row))
+        if (!parseProfileRow(parser, models, row))
             return std::nullopt;
     BenchmarkProfileRow suite;
     BenchmarkProfileRow average;
-    if (!parseProfileRow(parser, suite) ||
-        !parseProfileRow(parser, average) || !parser.atEnd())
+    if (!parseProfileRow(parser, models, suite) ||
+        !parseProfileRow(parser, models, average) || !parser.atEnd())
         return std::nullopt;
     return ProfileTable(models, std::move(rows), std::move(suite),
                         std::move(average));
-}
-
-std::string
-encodeSimilarity(const SimilarityMatrix &matrix)
-{
-    ByteSink sink;
-    const std::size_t n = matrix.names().size();
-    sink.putU64(n);
-    for (const std::string &name : matrix.names())
-        sink.putString(name);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-            sink.putDouble(matrix.at(i, j));
-    for (std::size_t i = 0; i < n; ++i)
-        sink.putDouble(matrix.distanceToSuite(i));
-    return sink.bytes();
-}
-
-std::optional<SimilarityMatrix>
-decodeSimilarity(std::string_view payload)
-{
-    ByteParser parser(payload);
-    std::uint64_t n = 0;
-    if (!parser.getU64(n) || n < 2 || n > kMaxReasonableRows)
-        return std::nullopt;
-
-    std::vector<std::string> names(n);
-    for (std::string &name : names)
-        if (!parser.getString(name))
-            return std::nullopt;
-    // The n*n cells and n distances must still be present, so a
-    // claimed size the remaining bytes cannot hold is refused before
-    // it sizes an allocation (n <= 2^16: no overflow).
-    if (n * (n + 1) > parser.remaining() / sizeof(double))
-        return std::nullopt;
-    std::vector<double> cells(n * n);
-    std::vector<double> to_suite(n);
-    if (!parser.getDoubles(cells) || !parser.getDoubles(to_suite) ||
-        !parser.atEnd())
-        return std::nullopt;
-    return SimilarityMatrix(std::move(names), std::move(cells),
-                            std::move(to_suite));
 }
 
 std::string
@@ -762,18 +704,6 @@ profileStage(Pipeline &pipe, const std::string &suiteName,
     return pipe.run<ProfileTable>(
         "profile:" + suiteName, id, encodeProfileTable,
         decodeProfileTable, [&] { return ProfileTable(data(), tree); });
-}
-
-SimilarityMatrix
-similarityStage(Pipeline &pipe, const ProfileTable &table,
-                std::uint64_t profileKey,
-                const std::vector<std::string> &subset)
-{
-    const ArtifactId id{"similarity",
-                        similarityStageKey(profileKey, subset)};
-    return pipe.run<SimilarityMatrix>(
-        "similarity", id, encodeSimilarity, decodeSimilarity,
-        [&] { return SimilarityMatrix(table, subset); });
 }
 
 TransferabilityReport

@@ -6,8 +6,11 @@
  *   collect    SuiteProfile + CollectionConfig  -> SuiteData
  *   train      SuiteSource + SuiteModelConfig   -> SuiteModel
  *   profile    SuiteSource + SuiteModel         -> ProfileTable
- *   similarity ProfileTable + subset            -> SimilarityMatrix
  *   transfer   SuiteModel + target dataset      -> TransferabilityReport
+ *
+ * Table III's similarity matrix is not a stage: it is Equation 4 over
+ * the profile table a plan already holds (SimilarityMatrix), cheaper
+ * to compute than to load and decode.
  *
  * Stage keys chain: a stage hashes the keys of the artifacts it
  * consumes rather than their bytes, so a plan's full artifact set is
@@ -20,8 +23,8 @@
  *
  * Train and profile take their samples through a SuiteSource that is
  * called only on a miss, so a warm plan collects (and loads) no
- * shards at all: it executes train, profile, similarity and transfer
- * and nothing else.
+ * shards at all: it executes train, profile and transfer and nothing
+ * else.
  *
  * The train stage additionally publishes the tree's *text* under
  * ("mtree", modelTreeContentKey(text)): the serving registry resolves
@@ -42,7 +45,6 @@
 
 #include "core/collect.hh"
 #include "core/profile_table.hh"
-#include "core/similarity.hh"
 #include "core/suite_model.hh"
 #include "core/transferability.hh"
 #include "pipeline/pipeline.hh"
@@ -55,7 +57,6 @@ namespace wct::pipeline
 constexpr std::uint32_t kCollectShardPayloadVersion = 1;
 constexpr std::uint32_t kTrainPayloadVersion = 1;
 constexpr std::uint32_t kProfilePayloadVersion = 1;
-constexpr std::uint32_t kSimilarityPayloadVersion = 1;
 constexpr std::uint32_t kTransferPayloadVersion = 1;
 
 // ---- Canonical input encoders (exact bit patterns; shared by every
@@ -78,7 +79,7 @@ void appendTransferabilityConfig(KeyBuilder &key,
  * artifact is stored under this key anymore — collection artifacts
  * are per-shard (below) — but it remains the chaining key every
  * downstream stage hashes, so shard granularity never perturbs
- * train/profile/similarity/transfer keys.
+ * train/profile/transfer keys.
  */
 std::uint64_t collectStageKey(const SuiteProfile &suite,
                               const CollectionConfig &config);
@@ -115,11 +116,6 @@ std::uint64_t trainStageKey(std::uint64_t collectKey,
 /** Key of the leaf-profile table of a trained model's suite. */
 std::uint64_t profileStageKey(std::uint64_t trainKey);
 
-/** Key of a similarity matrix over a profile subset. */
-std::uint64_t
-similarityStageKey(std::uint64_t profileKey,
-                   const std::vector<std::string> &subset);
-
 /**
  * Key of a transferability assessment: model (by train key) applied
  * to a target dataset named by the (train key, selector) pair of the
@@ -130,17 +126,21 @@ std::uint64_t transferStageKey(std::uint64_t modelTrainKey,
                                std::string_view targetSelector,
                                const TransferabilityConfig &config);
 
-// ---- Artifact codecs (exposed for the store tests and the serving
-// registry; decode rejects anything encode did not produce). ----
+// ---- Artifact codecs (exposed for the store tests, the fuzz
+// harness and the serving registry; decode rejects anything encode
+// did not produce). ----
+
+/** The bytes writeSuiteData writes for a suite. No stage stores them;
+ * they pin a collection's exact samples (the determinism checks). */
 std::string encodeSuiteData(const SuiteData &data);
-std::optional<SuiteData> decodeSuiteData(std::string_view payload);
 
 std::string encodeShardSamples(const Dataset &samples);
 std::optional<Dataset> decodeShardSamples(std::string_view payload);
 
 std::string encodeSuiteModel(const SuiteModel &model);
 /** `treeText`, when given, receives the tree text the payload holds
- * (see modelTreeArtifact). */
+ * (see modelTreeArtifact). A train or test set whose columns are not
+ * the tree's schema is refused. */
 std::optional<SuiteModel> decodeSuiteModel(std::string_view payload,
                                            std::string *treeText = nullptr);
 
@@ -153,12 +153,11 @@ std::optional<SuiteModel> decodeSuiteModel(std::string_view payload,
 ArtifactId modelTreeArtifact(std::string_view treeText);
 
 std::string encodeProfileTable(const ProfileTable &table);
+/** Refuses a table without leaf models, with fewer than two
+ * benchmarks (SimilarityMatrix needs two) or with a row that does not
+ * hold one share per leaf model. */
 std::optional<ProfileTable>
 decodeProfileTable(std::string_view payload);
-
-std::string encodeSimilarity(const SimilarityMatrix &matrix);
-std::optional<SimilarityMatrix>
-decodeSimilarity(std::string_view payload);
 
 std::string encodeTransferReport(const TransferabilityReport &report);
 std::optional<TransferabilityReport>
@@ -222,12 +221,6 @@ ProfileTable profileStage(Pipeline &pipe, const std::string &suiteName,
                           const SuiteSource &data,
                           const ModelTree &tree,
                           std::uint64_t trainKey);
-
-/** Similarity matrix over `subset`, cached under ("similarity"). */
-SimilarityMatrix
-similarityStage(Pipeline &pipe, const ProfileTable &table,
-                std::uint64_t profileKey,
-                const std::vector<std::string> &subset);
 
 /** Transferability assessment, cached under ("transfer"). */
 TransferabilityReport

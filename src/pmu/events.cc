@@ -66,12 +66,6 @@ eventInfo(Event e)
     return info;
 }
 
-const char *
-eventShortName(Event e)
-{
-    return eventInfo(e).shortName;
-}
-
 Event
 eventFromShortName(const std::string &name)
 {

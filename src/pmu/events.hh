@@ -76,9 +76,6 @@ const std::array<EventInfo, kNumEvents> &eventTable();
 /** Lookup of one event's static description. */
 const EventInfo &eventInfo(Event e);
 
-/** Short metric name for an event ("CPI" uses cyclesToCpi instead). */
-const char *eventShortName(Event e);
-
 /** Parse a short metric name back to an event; fatal when unknown. */
 Event eventFromShortName(const std::string &name);
 

@@ -164,7 +164,6 @@ class CoreModel
     const CacheModel &l2() const { return l2_; }
     const TlbModel &dtlb() const { return dtlb_; }
     const TlbModel &itlb() const { return itlb_; }
-    const BranchPredictor &branchPredictor() const { return branch_; }
 
   private:
     /** execute() without the cycle-counter update. */

@@ -434,9 +434,9 @@ TEST(CliTest, RunPlanColdThenWarmIsByteIdenticalAndAllHits)
     EXPECT_EQ(run(args, &warm_out, &warm_err), 0);
     EXPECT_EQ(warm_out, cold_out); // results identical cold vs warm
     // Every stage served from the store on the warm run, and only
-    // train/profile/similarity run: no stage misses, so the 11
-    // omp2001 collect shards are never read.
-    EXPECT_NE(warm_err.find("cache hits: 3/3"), std::string::npos)
+    // train/profile run: no stage misses, so the 11 omp2001 collect
+    // shards are never read.
+    EXPECT_NE(warm_err.find("cache hits: 2/2"), std::string::npos)
         << warm_err;
 }
 
@@ -446,13 +446,13 @@ TEST(CliTest, CacheLsRmGcManageThePlanArtifacts)
     const std::string cache_dir = dir.file("cache");
     EXPECT_EQ(run(runPlanArgs(cache_dir)), 0);
 
-    // ls: the 11 per-shard collect artifacts, the three downstream
+    // ls: the 11 per-shard collect artifacts, the two downstream
     // stage artifacts, and the published model tree.
     std::string ls_out;
     EXPECT_EQ(run({"cache", "ls", "--cache-dir", cache_dir},
                   &ls_out),
               0);
-    EXPECT_NE(ls_out.find("15 artifacts"), std::string::npos)
+    EXPECT_NE(ls_out.find("14 artifacts"), std::string::npos)
         << ls_out;
     EXPECT_NE(ls_out.find("collect-"), std::string::npos);
     EXPECT_NE(ls_out.find("train-"), std::string::npos);
@@ -468,12 +468,12 @@ TEST(CliTest, CacheLsRmGcManageThePlanArtifacts)
     EXPECT_NE(gc_out.find("0 artifacts removed"), std::string::npos)
         << gc_out;
 
-    // rm: drop the similarity artifact by its listed name; the next
-    // run recomputes just that stage (2/3 hits; similarity needs the
-    // profile table, not the samples).
-    const std::size_t pos = ls_out.find("similarity-");
+    // rm: drop the profile artifact by its listed name; the next run
+    // recomputes just that stage, which asks for the samples: 12/13
+    // hits, the 11 shards loading as hits.
+    const std::size_t pos = ls_out.find("profile-");
     ASSERT_NE(pos, std::string::npos) << ls_out;
-    const std::string name = ls_out.substr(pos, 11 + 16);
+    const std::string name = ls_out.substr(pos, 8 + 16);
     std::string rm_out;
     EXPECT_EQ(run({"cache", "rm", name, "--cache-dir", cache_dir},
                   &rm_out),
@@ -481,7 +481,7 @@ TEST(CliTest, CacheLsRmGcManageThePlanArtifacts)
     EXPECT_NE(rm_out.find("removed " + name), std::string::npos);
     std::string err;
     EXPECT_EQ(run(runPlanArgs(cache_dir), nullptr, &err), 0);
-    EXPECT_NE(err.find("cache hits: 2/3"), std::string::npos)
+    EXPECT_NE(err.find("cache hits: 12/13"), std::string::npos)
         << err;
 
     // gc at the *standard* protocol: the scaled artifacts are dead.
@@ -579,6 +579,27 @@ TEST(CliDeathTest, MismatchedCsvHeadersAreFatal)
                        out, err),
                 ::testing::ExitedWithCode(1),
                 "b\\.csv' has a different header than '.*a\\.csv'");
+}
+
+TEST(CliDeathTest, SimilarityOfOneBenchmarkIsFatal)
+{
+    // A distance matrix needs two benchmarks: a --data directory of
+    // one is a user error, not an assertion in SimilarityMatrix.
+    // The model is the one `wct train` fits to this CSV, written out
+    // so the test starts no pool threads before the fork.
+    TempDir dir("wct_cli_one_benchmark");
+    fs::create_directories(dir.file("data"));
+    std::ofstream(dir.file("data/only.csv"))
+        << "x,CPI\n0,1.0\n1,1.5\n2,2.0\n";
+    std::ofstream(dir.file("model.mtree"))
+        << "wct-model-tree v1\ntarget CPI\nschema 2 x CPI\n"
+           "range 1 2 0.5 1\nnode leaf 3 1.5 0 1 1 0.5\nend\n";
+    std::ostringstream out, err;
+    EXPECT_EXIT(runCli({"profile", "--model", dir.file("model.mtree"),
+                        "--data", dir.file("data"), "--similarity"},
+                       out, err),
+                ::testing::ExitedWithCode(1),
+                "--similarity needs at least two benchmarks");
 }
 
 TEST(CliDeathTest, UnknownOptionIsFatal)

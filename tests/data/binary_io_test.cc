@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the binary serialization primitives: sink/parser round
- * trips, envelope integrity checking, and the on-disk Dataset format.
+ * trips, envelope integrity checking, and the Dataset payload layout
+ * sealed in an envelope.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,9 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "data/binary_io.hh"
@@ -99,12 +102,41 @@ sampleDataset()
     return d;
 }
 
+/** The envelope magic of these tests: any 8 bytes a caller picks. */
+constexpr std::string_view kTestMagic("WCTTEST\0", 8);
+
+/** A dataset as appendDataset lays it out, sealed by writeEnvelope. */
+std::string
+sealDataset(const Dataset &data)
+{
+    ByteSink sink;
+    appendDataset(sink, data);
+    std::ostringstream out;
+    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, sink.bytes());
+    return out.str();
+}
+
+/** readEnvelope, then parseDataset over the whole payload. */
+std::optional<Dataset>
+unsealDataset(const std::string &bytes)
+{
+    std::istringstream in(bytes);
+    const auto payload =
+        readEnvelope(in, kTestMagic, kDatasetFormatVersion,
+                     kMaxFilePayload);
+    if (!payload)
+        return std::nullopt;
+    ByteParser parser(*payload);
+    auto data = parseDataset(parser);
+    if (!data || !parser.atEnd())
+        return std::nullopt;
+    return data;
+}
+
 TEST(DatasetBinaryTest, RoundTripIsExact)
 {
     const Dataset original = sampleDataset();
-    std::stringstream stream;
-    writeDatasetBinary(stream, original);
-    const auto loaded = readDatasetBinary(stream);
+    const auto loaded = unsealDataset(sealDataset(original));
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->columnNames(), original.columnNames());
     ASSERT_EQ(loaded->numRows(), original.numRows());
@@ -119,9 +151,7 @@ TEST(DatasetBinaryTest, RoundTripIsExact)
 TEST(DatasetBinaryTest, EmptyDatasetRoundTrips)
 {
     Dataset empty({"CPI"});
-    std::stringstream stream;
-    writeDatasetBinary(stream, empty);
-    const auto loaded = readDatasetBinary(stream);
+    const auto loaded = unsealDataset(sealDataset(empty));
     ASSERT_TRUE(loaded.has_value());
     EXPECT_EQ(loaded->numRows(), 0u);
     EXPECT_EQ(loaded->columnNames(), empty.columnNames());
@@ -129,47 +159,34 @@ TEST(DatasetBinaryTest, EmptyDatasetRoundTrips)
 
 TEST(DatasetBinaryTest, BadMagicRejected)
 {
-    std::stringstream stream;
-    writeDatasetBinary(stream, sampleDataset());
-    std::string bytes = stream.str();
+    std::string bytes = sealDataset(sampleDataset());
     bytes[0] ^= 0xff;
-    std::istringstream corrupted(bytes);
-    EXPECT_FALSE(readDatasetBinary(corrupted).has_value());
+    EXPECT_FALSE(unsealDataset(bytes).has_value());
 }
 
 TEST(DatasetBinaryTest, VersionMismatchRejected)
 {
-    std::stringstream stream;
-    writeDatasetBinary(stream, sampleDataset());
-    std::string bytes = stream.str();
+    std::string bytes = sealDataset(sampleDataset());
     bytes[8] ^= 0x01; // first byte of the little-endian version
-    std::istringstream corrupted(bytes);
-    EXPECT_FALSE(readDatasetBinary(corrupted).has_value());
+    EXPECT_FALSE(unsealDataset(bytes).has_value());
 }
 
 TEST(DatasetBinaryTest, PayloadBitFlipFailsChecksum)
 {
-    std::stringstream stream;
-    writeDatasetBinary(stream, sampleDataset());
-    std::string bytes = stream.str();
+    std::string bytes = sealDataset(sampleDataset());
     // Flip one payload bit (past the 20-byte header, before the
     // 8-byte trailing checksum).
     bytes[bytes.size() / 2] ^= 0x10;
-    std::istringstream corrupted(bytes);
-    EXPECT_FALSE(readDatasetBinary(corrupted).has_value());
+    EXPECT_FALSE(unsealDataset(bytes).has_value());
 }
 
 TEST(DatasetBinaryTest, TruncationRejected)
 {
-    std::stringstream stream;
-    writeDatasetBinary(stream, sampleDataset());
-    const std::string bytes = stream.str();
+    const std::string bytes = sealDataset(sampleDataset());
     for (const std::size_t keep :
-         {std::size_t(4), std::size_t(19), bytes.size() - 1}) {
-        std::istringstream truncated(bytes.substr(0, keep));
-        EXPECT_FALSE(readDatasetBinary(truncated).has_value())
+         {std::size_t(4), std::size_t(19), bytes.size() - 1})
+        EXPECT_FALSE(unsealDataset(bytes.substr(0, keep)).has_value())
             << "kept " << keep << " bytes";
-    }
 }
 
 TEST(DatasetBinaryTest, EveryStrictPrefixRejected)
@@ -177,14 +194,10 @@ TEST(DatasetBinaryTest, EveryStrictPrefixRejected)
     // Exhaustive truncation sweep across the whole envelope: magic,
     // version, size, payload, and trailing checksum. No strict
     // prefix of a sealed stream may parse.
-    std::stringstream stream;
-    writeDatasetBinary(stream, sampleDataset());
-    const std::string bytes = stream.str();
-    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-        std::istringstream truncated(bytes.substr(0, keep));
-        EXPECT_FALSE(readDatasetBinary(truncated).has_value())
+    const std::string bytes = sealDataset(sampleDataset());
+    for (std::size_t keep = 0; keep < bytes.size(); ++keep)
+        EXPECT_FALSE(unsealDataset(bytes.substr(0, keep)).has_value())
             << "kept " << keep << " bytes";
-    }
 }
 
 TEST(DatasetBinaryTest, OversizedClaimRejected)
@@ -195,14 +208,13 @@ TEST(DatasetBinaryTest, OversizedClaimRejected)
          {kMaxFilePayload + 1, std::uint64_t(1) << 40,
           ~std::uint64_t(0)}) {
         std::ostringstream hostile;
-        hostile.write(kDatasetMagic, 8);
+        hostile.write(kTestMagic.data(), 8);
         hostile.write(
             reinterpret_cast<const char *>(&kDatasetFormatVersion),
             sizeof kDatasetFormatVersion);
         hostile.write(reinterpret_cast<const char *>(&claimed),
                       sizeof claimed);
-        std::istringstream in(hostile.str());
-        EXPECT_FALSE(readDatasetBinary(in).has_value())
+        EXPECT_FALSE(unsealDataset(hostile.str()).has_value())
             << "claimed=" << claimed;
     }
 }
@@ -214,23 +226,21 @@ TEST(EnvelopeTest, PayloadCapBoundaryIsExact)
     // accepted sizes, not a fuzzy threshold.
     const std::string payload(64, 'p');
     std::ostringstream sealed;
-    writeEnvelope(sealed, std::string_view(kDatasetMagic, 8),
-                  kDatasetFormatVersion, payload);
+    writeEnvelope(sealed, kTestMagic, kDatasetFormatVersion, payload);
     const std::string bytes = sealed.str();
     {
         std::istringstream in(bytes);
-        const auto atCap =
-            readEnvelope(in, std::string_view(kDatasetMagic, 8),
-                         kDatasetFormatVersion, payload.size());
+        const auto atCap = readEnvelope(in, kTestMagic,
+                                        kDatasetFormatVersion,
+                                        payload.size());
         ASSERT_TRUE(atCap.has_value());
         EXPECT_EQ(*atCap, payload);
     }
     {
         std::istringstream in(bytes);
-        EXPECT_FALSE(
-            readEnvelope(in, std::string_view(kDatasetMagic, 8),
-                         kDatasetFormatVersion, payload.size() - 1)
-                .has_value());
+        EXPECT_FALSE(readEnvelope(in, kTestMagic, kDatasetFormatVersion,
+                                  payload.size() - 1)
+                         .has_value());
     }
 }
 
@@ -245,10 +255,9 @@ TEST(DatasetBinaryTest, HostileRowCountRejected)
     sink.putString("IPC");
     sink.putU64(std::uint64_t(1) << 59); // rows (none present)
     std::ostringstream sealed;
-    writeEnvelope(sealed, std::string_view(kDatasetMagic, 8),
-                  kDatasetFormatVersion, sink.bytes());
-    std::istringstream in(sealed.str());
-    EXPECT_FALSE(readDatasetBinary(in).has_value());
+    writeEnvelope(sealed, kTestMagic, kDatasetFormatVersion,
+                  sink.bytes());
+    EXPECT_FALSE(unsealDataset(sealed.str()).has_value());
 }
 
 /** An appendDataset payload: columns CPI and IPC, a claimed row

@@ -142,10 +142,6 @@ TEST(StageKeyTest, DownstreamKeysChainUpstreamKeys)
     EXPECT_NE(trainStageKey(111, other_model), train_a);
 
     EXPECT_NE(profileStageKey(train_a), profileStageKey(train_b));
-    EXPECT_NE(similarityStageKey(profileStageKey(train_a), {}),
-              similarityStageKey(profileStageKey(train_b), {}));
-    EXPECT_NE(similarityStageKey(profileStageKey(train_a), {}),
-              similarityStageKey(profileStageKey(train_a), {"a"}));
 
     const std::uint64_t transfer =
         transferStageKey(train_a, train_b, "test", {});
@@ -170,19 +166,6 @@ TEST(StageKeyTest, StageKindKeepsKeysApart)
     EXPECT_NE(profileStageKey(collect), collect);
 }
 
-TEST(StageCodecTest, SuiteDataRoundTrip)
-{
-    const SuiteData data = collectSuite(miniSuite(), miniConfig());
-    const std::string payload = encodeSuiteData(data);
-    const auto decoded = decodeSuiteData(payload);
-    ASSERT_TRUE(decoded.has_value());
-    EXPECT_EQ(encodeSuiteData(*decoded), payload);
-    EXPECT_FALSE(decodeSuiteData("not a suite").has_value());
-    EXPECT_FALSE(
-        decodeSuiteData(payload.substr(0, payload.size() / 2))
-            .has_value());
-}
-
 TEST(StageCodecTest, SuiteModelRoundTrip)
 {
     const SuiteData data = collectSuite(miniSuite(), miniConfig());
@@ -202,7 +185,7 @@ TEST(StageCodecTest, SuiteModelRoundTrip)
     EXPECT_FALSE(decodeSuiteModel("garbage").has_value());
 }
 
-TEST(StageCodecTest, ProfileSimilarityAndTransferRoundTrip)
+TEST(StageCodecTest, ProfileAndTransferRoundTrip)
 {
     const SuiteData data = collectSuite(miniSuite(), miniConfig());
     const SuiteModel model =
@@ -214,13 +197,6 @@ TEST(StageCodecTest, ProfileSimilarityAndTransferRoundTrip)
     ASSERT_TRUE(table_decoded.has_value());
     EXPECT_EQ(encodeProfileTable(*table_decoded), table_payload);
     EXPECT_EQ(table_decoded->render(), table.render());
-
-    const SimilarityMatrix sim(table);
-    const std::string sim_payload = encodeSimilarity(sim);
-    const auto sim_decoded = decodeSimilarity(sim_payload);
-    ASSERT_TRUE(sim_decoded.has_value());
-    EXPECT_EQ(encodeSimilarity(*sim_decoded), sim_payload);
-    EXPECT_EQ(sim_decoded->render(), sim.render());
 
     TransferabilityConfig config;
     config.bootstrapReplicates = 50;
@@ -237,27 +213,83 @@ TEST(StageCodecTest, ProfileSimilarityAndTransferRoundTrip)
     EXPECT_FALSE(decodeTransferReport("junk").has_value());
 }
 
-TEST(StageCodecTest, SimilarityRefusesSizesItsBytesCannotHold)
+/** A profile table's parts, to encode after an edit no real table
+ * could hold: encodeProfileTable writes every row as it is. */
+struct ProfileParts
 {
-    // 40,000 names are present, but not the 40,000^2 cells they
-    // claim: the decoder refuses before sizing the matrix (12.8 GB).
-    const std::uint64_t n = 40'000;
-    ByteSink sink;
-    sink.putU64(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        sink.putString("");
-    EXPECT_FALSE(decodeSimilarity(sink.bytes()).has_value());
+    std::size_t models;
+    std::vector<BenchmarkProfileRow> rows;
+    BenchmarkProfileRow suite;
+    BenchmarkProfileRow average;
 
-    // One byte short of a real matrix is refused too.
+    explicit ProfileParts(const ProfileTable &table)
+        : models(table.numModels()), rows(table.rows()),
+          suite(table.suiteRow()), average(table.averageRow())
+    {
+    }
+
+    std::string
+    encode() const
+    {
+        return encodeProfileTable(
+            ProfileTable(models, rows, suite, average));
+    }
+};
+
+TEST(StageCodecTest, ProfileRefusesTablesItsEncoderNeverWrites)
+{
+    // Every row of a real table holds one share per leaf model, and a
+    // suite has at least two benchmarks. A payload breaking either
+    // would abort render() (a row of the wrong arity) or
+    // SimilarityMatrix (fewer than two rows), so it is refused.
     const SuiteData data = collectSuite(miniSuite(), miniConfig());
-    const SimilarityMatrix sim(ProfileTable(
-        data, buildSuiteModel(data, miniModelConfig()).tree));
-    const std::string payload = encodeSimilarity(sim);
-    ASSERT_TRUE(decodeSimilarity(payload).has_value());
-    EXPECT_FALSE(
-        decodeSimilarity(std::string_view(payload).substr(
-                             0, payload.size() - 1))
-            .has_value());
+    const ProfileParts real(
+        ProfileTable(data, buildSuiteModel(data, miniModelConfig()).tree));
+    ASSERT_TRUE(decodeProfileTable(real.encode()).has_value());
+
+    ProfileParts wide = real;
+    wide.rows[0].percent.push_back(0.0);
+    ProfileParts narrow = real;
+    narrow.rows.back().percent.pop_back();
+    ProfileParts wide_suite = real;
+    wide_suite.suite.percent.push_back(0.0);
+    ProfileParts narrow_average = real;
+    narrow_average.average.percent.pop_back();
+    ProfileParts one_benchmark = real;
+    one_benchmark.rows.resize(1);
+    ProfileParts no_models = real;
+    no_models.models = 0;
+    for (BenchmarkProfileRow &row : no_models.rows)
+        row.percent.clear();
+    no_models.suite.percent.clear();
+    no_models.average.percent.clear();
+    for (const ProfileParts *parts :
+         {&wide, &narrow, &wide_suite, &narrow_average, &one_benchmark,
+          &no_models})
+        EXPECT_FALSE(decodeProfileTable(parts->encode()).has_value());
+}
+
+TEST(StageCodecTest, TrainRefusesSetsOfAnotherSchema)
+{
+    // The train and test sets are what the tree was trained and
+    // tested on. Columns that are not the tree's schema would exit
+    // through the tree's schema check at the next transfer miss.
+    const SuiteData data = collectSuite(miniSuite(), miniConfig());
+    SuiteModel model = buildSuiteModel(data, miniModelConfig());
+    ASSERT_EQ(model.train.columnNames(), model.tree.schema());
+    std::vector<std::string> fewer = model.tree.schema();
+    fewer.erase(fewer.begin());
+    std::vector<std::string> reordered = model.tree.schema();
+    std::swap(reordered.front(), reordered.back());
+    for (const std::vector<std::string> *columns : {&fewer, &reordered})
+        for (Dataset *set : {&model.train, &model.test}) {
+            Dataset edited = set->selectColumns(*columns);
+            std::swap(*set, edited);
+            EXPECT_FALSE(
+                decodeSuiteModel(encodeSuiteModel(model)).has_value());
+            std::swap(*set, edited);
+        }
+    EXPECT_TRUE(decodeSuiteModel(encodeSuiteModel(model)).has_value());
 }
 
 TEST(StageRunTest, WarmStagesHitAndMatchColdBytes)
@@ -457,17 +489,17 @@ TEST(PlanTest, ColdAndWarmRunsAreByteIdentical)
 {
     // Cold runs collect each suite once (40 shards over both) and
     // transfer from the models in memory; warm runs execute only
-    // train, profile and similarity per suite and the transfers.
+    // train and profile per suite and the transfers.
     struct Case
     {
         const char *plan;
         std::size_t coldStages;
         std::size_t warmStages;
     };
-    for (const Case &c : {Case{"omp2001", 11 + 3, 3},
+    for (const Case &c : {Case{"omp2001", 11 + 2, 2},
                           Case{"transfer", 40 + 2 + 4, 2 + 4},
-                          Case{"full", 40 + 6 + 4, 6 + 4},
-                          Case{"paper", 40 + 6 + 4, 6 + 4}}) {
+                          Case{"full", 40 + 4 + 4, 4 + 4},
+                          Case{"paper", 40 + 4 + 4, 4 + 4}}) {
         SCOPED_TRACE(c.plan);
         const TempDir dir(std::string("plan_") + c.plan);
         const ArtifactStore store(dir.path.string());
@@ -521,7 +553,7 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
     ASSERT_TRUE(store.remove(omp_profile));
     pipeline::Pipeline repair_pipe{store};
     EXPECT_EQ(planText(repair_pipe, "full"), cold);
-    EXPECT_EQ(repair_pipe.runs().size(), 10 + 11u);
+    EXPECT_EQ(repair_pipe.runs().size(), 8 + 11u);
     std::size_t shard_hits = 0;
     for (const StageRun &run : repair_pipe.runs()) {
         shard_hits += run.id.kind == "collect-shard" && run.cached;
@@ -531,7 +563,7 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
     EXPECT_EQ(shard_hits, 11u);
 
     // A warm run reads no shard at all: with every one deleted it is
-    // still all hits, 10 stages, byte-identical.
+    // still all hits, 8 stages, byte-identical.
     std::size_t removed = 0;
     for (const ArtifactInfo &info : store.list())
         if (info.id.kind == "collect-shard")
@@ -540,7 +572,42 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
     pipeline::Pipeline warm_pipe{store};
     EXPECT_EQ(planText(warm_pipe, "full"), cold);
     EXPECT_TRUE(warm_pipe.allCached());
-    EXPECT_EQ(warm_pipe.runs().size(), 10u);
+    EXPECT_EQ(warm_pipe.runs().size(), 8u);
+}
+
+TEST(PlanTest, ProfileRowOfTheWrongWidthIsRecomputed)
+{
+    // A checksummed profile artifact whose first benchmark row holds
+    // one share too many (a buggy writer, or a store daemon that
+    // lies) is refused like a checksum failure: the warm plan warns,
+    // recomputes that stage from the stored shards and prints the
+    // cold bytes.
+    const TempDir dir("wide_profile");
+    const ArtifactStore store(dir.path.string());
+    const pipeline::PlanProtocol protocol = tinyProtocol();
+    pipeline::Pipeline cold_pipe{store};
+    const std::string cold = planText(cold_pipe, "full");
+
+    const ArtifactId cpu_profile{
+        "profile",
+        profileStageKey(trainStageKey(
+            collectStageKey(specCpu2006(), protocol.collection),
+            protocol.model))};
+    const auto stored = store.load(cpu_profile);
+    ASSERT_TRUE(stored.has_value());
+    const auto table = decodeProfileTable(*stored);
+    ASSERT_TRUE(table.has_value());
+    ProfileParts wide(*table);
+    wide.rows[0].percent.push_back(0.0);
+    ASSERT_TRUE(store.store(cpu_profile, wide.encode()));
+
+    pipeline::Pipeline warm_pipe{store};
+    EXPECT_EQ(planText(warm_pipe, "full"), cold);
+    EXPECT_EQ(warm_pipe.runs().size(), 8 + 29u);
+    for (const StageRun &run : warm_pipe.runs())
+        EXPECT_EQ(run.cached, run.id.fileName() != cpu_profile.fileName())
+            << run.label;
+    EXPECT_EQ(store.load(cpu_profile), stored);
 }
 
 TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
@@ -554,7 +621,7 @@ TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
     EXPECT_EQ(fnv1a64(full), 0xaa1b2513694a0bb3ull)
         << keyHex(fnv1a64(full));
 
-    // `paper` against the store `full` filled: all hits, the same 10
+    // `paper` against the store `full` filled: all hits, the same 8
     // stages, no artifact written, `full`'s bytes first.
     const auto listing = [&store] {
         std::set<std::string> names;
@@ -566,7 +633,7 @@ TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
     pipeline::Pipeline paper_pipe{store};
     const std::string paper = planText(paper_pipe, "paper");
     EXPECT_TRUE(paper_pipe.allCached());
-    EXPECT_EQ(paper_pipe.runs().size(), 10u);
+    EXPECT_EQ(paper_pipe.runs().size(), 8u);
     EXPECT_EQ(listing(), before);
     ASSERT_GT(paper.size(), full.size());
     EXPECT_EQ(paper.compare(0, full.size(), full), 0);
@@ -657,21 +724,23 @@ artifactListDigest(const std::vector<ArtifactId> &ids)
 TEST(PlanTest, GcFromPlanArtifactsKeepsThePlanWarm)
 {
     // Per plan: its artifact count after a cold tiny run (shards,
-    // train/profile/similarity, transfers, mtree), and the digest of
-    // its planArtifacts list at the standard protocol on an empty
-    // store, recorded before plans were declared in one table.
-    // `paper` runs `full`'s stages, so it lists `full`'s artifacts.
+    // train/profile, transfers, mtree), and the digest of its
+    // planArtifacts list at the standard protocol on an empty store.
+    // Each digest is of the list recorded before plans were declared
+    // in one table, less the similarity ids the plans no longer
+    // store, in the same order. `paper` runs `full`'s stages, so it
+    // lists `full`'s artifacts.
     const struct
     {
         const char *plan;
         std::size_t artifacts;
         std::uint64_t standardDigest;
     } cases[] = {
-        {"cpu2006", 29 + 3 + 1, 0x4544977e09c48a4eull},
-        {"omp2001", 11 + 3 + 1, 0xc4266a2638529335ull},
+        {"cpu2006", 29 + 2 + 1, 0xb55a33a9467fce2eull},
+        {"omp2001", 11 + 2 + 1, 0x02c71a0fe43f8df8ull},
         {"transfer", 40 + 2 + 4 + 2, 0x6fdcb9d7213fe29eull},
-        {"full", 40 + 6 + 4 + 2, 0xba00fcd050a50bc4ull},
-        {"paper", 40 + 6 + 4 + 2, 0xba00fcd050a50bc4ull},
+        {"full", 40 + 4 + 4 + 2, 0xd70ddbe41ad08e2full},
+        {"paper", 40 + 4 + 4 + 2, 0xd70ddbe41ad08e2full},
     };
     ASSERT_EQ(pipeline::planNames().size(), std::size(cases));
     const TempDir empty_dir("gc_empty");

@@ -46,7 +46,6 @@ TEST(ServeCliTest, VersionReportsEveryFormat)
         EXPECT_NE(out.find("wct-model-tree v1"), std::string::npos);
         EXPECT_NE(out.find("compiled-tree layout: v1"),
                   std::string::npos);
-        EXPECT_NE(out.find("WCTDSET"), std::string::npos);
         EXPECT_NE(out.find("WCTSERV"), std::string::npos);
     }
 }
