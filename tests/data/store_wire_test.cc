@@ -20,6 +20,8 @@ namespace wct
 namespace
 {
 
+using namespace std::string_literals;
+
 /** Unwrap one encoded frame back to its payload via the frame
  * reader, asserting the envelope is intact. */
 std::string
@@ -131,6 +133,55 @@ TEST(StoreWireTest, ResponseRoundTripsBodiesAndErrors)
         EXPECT_EQ(decoded->error, "no such artifact");
         EXPECT_TRUE(decoded->payload.empty());
     }
+}
+
+TEST(StoreWireTest, FrameBytesArePinned)
+{
+    // One request and one response frame field by field: a change
+    // that moves a field in encoder and decoder alike still
+    // round-trips, but fails here.
+    StoreRequest request;
+    request.op = StoreOp::Store;
+    request.id = 9;
+    request.artifact = {"mtree", 0x0123456789abcdefull};
+    request.payload = "tree";
+    const std::string request_frame =
+        "WCTSTOR\x00"                        // magic
+        "\x01\x00\x00\x00"                   // wire version 1
+        "\x2a\x00\x00\x00\x00\x00\x00\x00"   // payload: 42
+        "\x02"                               // op: store
+        "\x09\x00\x00\x00\x00\x00\x00\x00"   // id
+        "\x05\x00\x00\x00\x00\x00\x00\x00"   // kind length
+        "mtree"                              // kind
+        "\xef\xcd\xab\x89\x67\x45\x23\x01"   // key
+        "\x04\x00\x00\x00\x00\x00\x00\x00"   // artifact length
+        "tree"                               // artifact
+        "\x20\x7c\x1f\x62\xa6\xa8\x13\xea"s; // FNV-1a of the payload
+    EXPECT_EQ(encodeStoreRequest(request), request_frame);
+    const auto decoded = decodeStoreRequest(framePayload(request_frame));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->artifact.kind, "mtree");
+    EXPECT_EQ(decoded->artifact.key, 0x0123456789abcdefull);
+    EXPECT_EQ(decoded->payload, "tree");
+
+    StoreResponse response;
+    response.op = StoreOp::Load;
+    response.id = 9;
+    response.payload = "tree";
+    const std::string response_frame =
+        "WCTSTOR\x00"                        // magic
+        "\x01\x00\x00\x00"                   // wire version 1
+        "\x16\x00\x00\x00\x00\x00\x00\x00"   // payload: 22
+        "\x01"                               // op: load
+        "\x09\x00\x00\x00\x00\x00\x00\x00"   // id
+        "\x00"                               // status: ok
+        "\x04\x00\x00\x00\x00\x00\x00\x00"   // artifact length
+        "tree"                               // artifact
+        "\x97\x72\xe1\xa7\x48\x3b\x76\xc6"s; // FNV-1a of the payload
+    EXPECT_EQ(encodeStoreResponse(response), response_frame);
+    const auto reply = decodeStoreResponse(framePayload(response_frame));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->payload, "tree");
 }
 
 TEST(StoreWireTest, MalformedPayloadsAreRejectedNotFatal)

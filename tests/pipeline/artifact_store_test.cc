@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -23,6 +24,7 @@ namespace
 {
 
 namespace fs = std::filesystem;
+using namespace std::string_literals;
 
 /** Fresh scratch directory, removed on scope exit. */
 struct TempDir
@@ -146,6 +148,33 @@ TEST(ArtifactStoreTest, StoreLoadRoundTrip)
     EXPECT_EQ(*loaded, payload);
     EXPECT_EQ(fs::path(store.path(id)).filename().string(),
               "collect-1234abcd5678ef90.wctart");
+}
+
+TEST(ArtifactStoreTest, StoredBytesArePinned)
+{
+    // The .wctart bytes field by field: a change that moves a field
+    // in writer and reader alike still round-trips, but fails here.
+    const std::string pinned =
+        "WCTARTF\x00"                        // magic
+        "\x01\x00\x00\x00"                   // format version 1
+        "\x29\x00\x00\x00\x00\x00\x00\x00"   // envelope payload: 41
+        "\x03\x00\x00\x00\x00\x00\x00\x00"   // kind length
+        "pin"                                // kind
+        "\xef\xcd\xab\x89\x67\x45\x23\x01"   // key
+        "\x0e\x00\x00\x00\x00\x00\x00\x00"   // payload length
+        "pinned payload"                     // payload
+        "\xa7\x0f\xd7\x4e\x5f\x2e\x09\xd2"s; // FNV-1a of the 41 bytes
+    const ArtifactId id{"pin", 0x0123456789abcdefull};
+
+    const TempDir written("pinned_store");
+    const ArtifactStore store(written.path.string());
+    ASSERT_TRUE(store.store(id, "pinned payload"));
+    EXPECT_EQ(readFileBytes(store.path(id)), pinned);
+
+    const TempDir read("pinned_load");
+    const ArtifactStore reader(read.path.string());
+    writeFileBytes(reader.path(id), pinned);
+    EXPECT_EQ(reader.load(id), "pinned payload");
 }
 
 TEST(ArtifactStoreTest, DisabledStoreDropsEverything)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "data/binary_io.hh"
 #include "serve/wire.hh"
@@ -17,6 +18,8 @@ namespace wct::serve
 {
 namespace
 {
+
+using namespace std::string_literals;
 
 Request
 predictRequest()
@@ -93,6 +96,66 @@ TEST(WireTest, PredictResponseRoundTrip)
     EXPECT_EQ(decoded->cpi, response.cpi);
     EXPECT_EQ(decoded->leaf, response.leaf);
     EXPECT_EQ(decoded->status, Status::Ok);
+}
+
+TEST(WireTest, FrameBytesArePinned)
+{
+    // One request and one response frame field by field: a change
+    // that moves a field in encoder and decoder alike still
+    // round-trips, but fails here.
+    Request request;
+    request.op = Opcode::Predict;
+    request.id = 7;
+    request.budgetMs = 250;
+    request.modelKey = "m";
+    request.schema = {"a", "b"};
+    request.rows = {1.5, -2.0};
+    const std::string request_frame =
+        "WCTSERV\x00"                        // magic
+        "\x02\x00\x00\x00"                   // wire version 2
+        "\x48\x00\x00\x00\x00\x00\x00\x00"   // payload: 72
+        "\x01"                               // op: predict
+        "\x07\x00\x00\x00\x00\x00\x00\x00"   // id
+        "\xfa\x00\x00\x00"                   // budgetMs
+        "\x01\x00\x00\x00\x00\x00\x00\x00"   // model key length
+        "m"                                  // model key
+        "\x02\x00\x00\x00\x00\x00\x00\x00"   // columns
+        "\x01\x00\x00\x00\x00\x00\x00\x00"   // name length
+        "a"                                  // name
+        "\x01\x00\x00\x00\x00\x00\x00\x00"   // name length
+        "b"                                  // name
+        "\x01\x00\x00\x00\x00\x00\x00\x00"   // rows
+        "\x00\x00\x00\x00\x00\x00\xf8\x3f"   // 1.5
+        "\x00\x00\x00\x00\x00\x00\x00\xc0"   // -2.0
+        "\x80\x77\x6e\x67\x82\x5d\xc6\xcd"s; // FNV-1a of the payload
+    EXPECT_EQ(encodeRequest(request), request_frame);
+    const auto decoded = decodeRequest(payloadOf(request_frame));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->budgetMs, 250u);
+    EXPECT_EQ(decoded->schema, request.schema);
+    EXPECT_EQ(decoded->rows, request.rows);
+
+    Response response;
+    response.op = Opcode::Predict;
+    response.id = 7;
+    response.cpi = {0.75};
+    response.leaf = {3};
+    const std::string response_frame =
+        "WCTSERV\x00"                        // magic
+        "\x02\x00\x00\x00"                   // wire version 2
+        "\x22\x00\x00\x00\x00\x00\x00\x00"   // payload: 34
+        "\x01"                               // op: predict
+        "\x07\x00\x00\x00\x00\x00\x00\x00"   // id
+        "\x00"                               // status: ok
+        "\x01\x00\x00\x00\x00\x00\x00\x00"   // rows
+        "\x00\x00\x00\x00\x00\x00\xe8\x3f"   // cpi 0.75
+        "\x03\x00\x00\x00\x00\x00\x00\x00"   // leaf 3
+        "\xb6\x17\xb5\x22\x9f\xc5\x70\x72"s; // FNV-1a of the payload
+    EXPECT_EQ(encodeResponse(response), response_frame);
+    const auto reply = decodeResponse(payloadOf(response_frame));
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->cpi, response.cpi);
+    EXPECT_EQ(reply->leaf, response.leaf);
 }
 
 TEST(WireTest, ErrorResponseRoundTrip)
