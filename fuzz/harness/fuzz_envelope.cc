@@ -1,12 +1,15 @@
 /**
  * @file
  * Fuzz harness for the untrusted byte decoders of data/binary_io and
- * pipeline/stages: readEnvelope under every per-caller payload cap,
- * the dataset payload parser, and the four stage decoders a plan runs
- * on what the store hands back (decodeShardSamples, decodeSuiteModel,
- * decodeProfileTable, decodeTransferReport).
+ * pipeline/stages: readEnvelope and scanEnvelope under every
+ * per-caller payload cap, the dataset payload parser, and the four
+ * stage decoders a plan runs on what the store hands back
+ * (decodeShardSamples, decodeSuiteModel, decodeProfileTable,
+ * decodeTransferReport).
  *
  * Invariants checked on top of "never crash":
+ *  - scanEnvelope completes exactly when readEnvelope accepts, with
+ *    the same payload and a frame of 28 + payload bytes;
  *  - a payload accepted under cap C never exceeds C bytes and
  *    survives a write-then-reread round trip;
  *  - an accepted value re-encodes to bytes that decode and re-encode
@@ -50,8 +53,16 @@ checkEnvelope(std::string_view bytes, std::uint64_t cap)
 {
     std::istringstream in{std::string(bytes)};
     const auto payload = readEnvelope(in, kMagic, kVersion, cap);
+    // The in-memory scanner and the stream reader agree on every
+    // input: complete exactly when the reader accepts, with the same
+    // payload, and the frame is its 28 envelope bytes plus the payload.
+    const EnvelopeScan scan = scanEnvelope(bytes, kMagic, kVersion, cap);
+    WCT_FUZZ_ASSERT((scan.state == EnvelopeScan::Complete) ==
+                    payload.has_value());
     if (!payload)
         return;
+    WCT_FUZZ_ASSERT(scan.payload == *payload);
+    WCT_FUZZ_ASSERT(scan.frameBytes == 28 + payload->size());
     WCT_FUZZ_ASSERT(payload->size() <= cap);
     // Round trip: re-sealing the payload must re-read identically.
     std::ostringstream sealed;

@@ -72,8 +72,8 @@ class LocalStoreBackend final : public StoreBackend
 
         // The envelope payload is the prefix (kind, key, payload
         // length) and then the payload. Both are read in place, the
-        // payload straight into the string returned, and checksummed
-        // as one stream, in the order store() wrote them.
+        // payload straight into the string returned, and the trailer
+        // is checked over both, in the order store() wrote them.
         constexpr std::uint64_t kLengths = 3 * sizeof(std::uint64_t);
         const auto size = readEnvelopeHeader(
             in, std::string_view(kArtifactMagic, 8),
@@ -99,10 +99,8 @@ class LocalStoreBackend final : public StoreBackend
             return corrupt();
 
         std::string payload(payload_bytes, '\0');
-        std::uint64_t checksum = 0;
         if (!read(payload.data(), payload.size()) ||
-            !read(&checksum, sizeof checksum) ||
-            checksum != fnv1a64(payload, fnv1a64(prefix)))
+            !readEnvelopeTrailer(in, {prefix, payload}))
             return corrupt();
 
         // The payload self-identifies; a renamed or cross-linked file
@@ -134,14 +132,11 @@ class LocalStoreBackend final : public StoreBackend
         }
 
         // The layout load() reads: the envelope payload is the prefix
-        // and then the payload, written and checksummed in that order
-        // and never joined in memory.
+        // and then the payload, never joined in memory.
         ByteSink prefix;
         prefix.putString(id.kind);
         prefix.putU64(id.key);
         prefix.putU64(payload.size());
-        const std::uint64_t checksum =
-            fnv1a64(payload, fnv1a64(prefix.bytes()));
 
         // Unique temp name per writer, then an atomic rename:
         // concurrent writers of one key serialize on the rename
@@ -161,15 +156,9 @@ class LocalStoreBackend final : public StoreBackend
                          "'");
                 return false;
             }
-            writeEnvelopeHeader(out, std::string_view(kArtifactMagic, 8),
-                                kArtifactFormatVersion,
-                                prefix.bytes().size() + payload.size());
-            out.write(prefix.bytes().data(),
-                      static_cast<std::streamsize>(prefix.bytes().size()));
-            out.write(payload.data(),
-                      static_cast<std::streamsize>(payload.size()));
-            out.write(reinterpret_cast<const char *>(&checksum),
-                      sizeof checksum);
+            writeEnvelope(out, std::string_view(kArtifactMagic, 8),
+                          kArtifactFormatVersion,
+                          {prefix.bytes(), payload});
             out.flush();
             if (!out) {
                 wct_warn("short write to artifact file '", temp_path,

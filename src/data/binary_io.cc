@@ -17,6 +17,39 @@ namespace
 /** Sanity cap on parsed counts: no dataset has a billion columns. */
 constexpr std::uint64_t kMaxReasonableColumns = 1u << 20;
 
+/** Envelope field widths; see the header's file comment. */
+constexpr std::size_t kMagicBytes = 8;
+constexpr std::size_t kSizeAt = kMagicBytes + sizeof(std::uint32_t);
+constexpr std::size_t kHeaderBytes = kSizeAt + sizeof(std::uint64_t);
+constexpr std::size_t kChecksumBytes = sizeof(std::uint64_t);
+
+/** The envelope checksum: FNV-1a over `parts` as one stream. */
+std::uint64_t
+envelopeChecksum(std::initializer_list<std::string_view> parts)
+{
+    std::uint64_t hash = kFnv1aOffset;
+    for (std::string_view part : parts)
+        hash = fnv1a64(part, hash);
+    return hash;
+}
+
+/** A little-endian field at `at` of an envelope in memory. */
+template <typename T>
+T
+fieldAt(std::string_view bytes, std::size_t at)
+{
+    T v;
+    std::memcpy(&v, bytes.data() + at, sizeof v);
+    return v;
+}
+
+template <typename T>
+void
+writeField(std::ostream &out, T v)
+{
+    out.write(reinterpret_cast<const char *>(&v), sizeof v);
+}
+
 void
 putLe(std::string &bytes, const void *data, std::size_t n)
 {
@@ -140,50 +173,89 @@ ByteParser::getString(std::string &s)
 }
 
 void
-writeEnvelopeHeader(std::ostream &out, std::string_view magic8,
-                    std::uint32_t version, std::uint64_t size)
+writeEnvelope(std::ostream &out, std::string_view magic8,
+              std::uint32_t version,
+              std::initializer_list<std::string_view> parts)
 {
-    wct_assert(magic8.size() == 8, "envelope magic must be 8 bytes");
-    out.write(magic8.data(), 8);
-    out.write(reinterpret_cast<const char *>(&version),
-              sizeof version);
-    out.write(reinterpret_cast<const char *>(&size), sizeof size);
+    wct_assert(magic8.size() == kMagicBytes,
+               "envelope magic must be 8 bytes");
+    std::uint64_t size = 0;
+    for (std::string_view part : parts)
+        size += part.size();
+    out.write(magic8.data(), kMagicBytes);
+    writeField(out, version);
+    writeField(out, size);
+    for (std::string_view part : parts)
+        out.write(part.data(), static_cast<std::streamsize>(part.size()));
+    writeField(out, envelopeChecksum(parts));
+}
+
+EnvelopeScan
+scanEnvelope(std::string_view bytes, std::string_view magic8,
+             std::uint32_t version, std::uint64_t maxPayload)
+{
+    wct_assert(magic8.size() == kMagicBytes,
+               "envelope magic must be 8 bytes");
+    // The cap bounds frameBytes below, so it cannot wrap.
+    wct_assert(maxPayload <= kMaxFilePayload,
+               "envelope payload cap above kMaxFilePayload");
+    EnvelopeScan scan;
+    const std::size_t magic_in = std::min(bytes.size(), kMagicBytes);
+    if (bytes.substr(0, magic_in) != magic8.substr(0, magic_in)) {
+        scan.state = EnvelopeScan::Malformed;
+        return scan;
+    }
+    if (bytes.size() < kSizeAt)
+        return scan;
+    if (fieldAt<std::uint32_t>(bytes, kMagicBytes) != version) {
+        scan.state = EnvelopeScan::Malformed;
+        return scan;
+    }
+    if (bytes.size() < kHeaderBytes)
+        return scan;
+    // A claimed size above the cap is refused before a single payload
+    // byte is awaited or allocated.
+    const std::uint64_t size = fieldAt<std::uint64_t>(bytes, kSizeAt);
+    if (size > maxPayload) {
+        scan.state = EnvelopeScan::Malformed;
+        return scan;
+    }
+    scan.frameBytes = kHeaderBytes + size + kChecksumBytes;
+    if (bytes.size() < scan.frameBytes)
+        return scan; // never hash an incomplete frame
+    const std::string_view payload = bytes.substr(kHeaderBytes, size);
+    if (fieldAt<std::uint64_t>(bytes, kHeaderBytes + size) !=
+        envelopeChecksum({payload})) {
+        scan.state = EnvelopeScan::Malformed;
+        return scan;
+    }
+    scan.state = EnvelopeScan::Complete;
+    scan.payload = payload;
+    return scan;
 }
 
 std::optional<std::uint64_t>
 readEnvelopeHeader(std::istream &in, std::string_view magic8,
                    std::uint32_t version, std::uint64_t maxPayload)
 {
-    wct_assert(magic8.size() == 8, "envelope magic must be 8 bytes");
-    char magic[8];
-    if (!in.read(magic, 8) ||
-        std::string_view(magic, 8) != magic8)
+    char header[kHeaderBytes];
+    if (!in.read(header, kHeaderBytes))
         return std::nullopt;
-    std::uint32_t file_version = 0;
-    if (!in.read(reinterpret_cast<char *>(&file_version),
-                 sizeof file_version) ||
-        file_version != version)
+    const EnvelopeScan scan =
+        scanEnvelope(std::string_view(header, kHeaderBytes), magic8,
+                     version, maxPayload);
+    if (scan.state == EnvelopeScan::Malformed)
         return std::nullopt;
-    std::uint64_t size = 0;
-    if (!in.read(reinterpret_cast<char *>(&size), sizeof size))
-        return std::nullopt;
-    // Refuse oversized claims before allocating (a corrupt or
-    // hostile length field must not turn into a bad_alloc).
-    if (size > maxPayload)
-        return std::nullopt;
-    return size;
+    return scan.frameBytes - kHeaderBytes - kChecksumBytes;
 }
 
-void
-writeEnvelope(std::ostream &out, std::string_view magic8,
-              std::uint32_t version, std::string_view payload)
+bool
+readEnvelopeTrailer(std::istream &in,
+                    std::initializer_list<std::string_view> parts)
 {
-    writeEnvelopeHeader(out, magic8, version, payload.size());
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    const std::uint64_t checksum = fnv1a64(payload);
-    out.write(reinterpret_cast<const char *>(&checksum),
-              sizeof checksum);
+    std::uint64_t checksum = 0;
+    return in.read(reinterpret_cast<char *>(&checksum), sizeof checksum) &&
+           checksum == envelopeChecksum(parts);
 }
 
 std::optional<std::string>
@@ -197,10 +269,7 @@ readEnvelope(std::istream &in, std::string_view magic8,
     if (*size > 0 &&
         !in.read(payload.data(), static_cast<std::streamsize>(*size)))
         return std::nullopt;
-    std::uint64_t checksum = 0;
-    if (!in.read(reinterpret_cast<char *>(&checksum),
-                 sizeof checksum) ||
-        checksum != fnv1a64(payload))
+    if (!readEnvelopeTrailer(in, {payload}))
         return std::nullopt;
     return payload;
 }

@@ -9,24 +9,48 @@
  * flipped bit is detected by the envelope's FNV-1a checksum instead
  * of silently parsing into garbage.
  *
- * Envelope layout (all integers little-endian):
+ * The envelope is the one container of every byte wct writes or
+ * sends: cached suites (WCTSUIT), store artifacts (WCTARTF), serving
+ * frames (WCTSERV) and store-wire frames (WCTSTOR). Its layout, all
+ * integers little-endian:
  *
- *   magic     8 bytes, caller-chosen (e.g. "WCTSUIT\0")
- *   version   u32, caller-chosen format version
- *   size      u64, payload byte count
- *   payload   size bytes
- *   checksum  u64, FNV-1a over the payload bytes
+ *   offset  0  magic     8 bytes, caller-chosen (e.g. "WCTSUIT\0")
+ *   offset  8  version   u32, caller-chosen format version
+ *   offset 12  size      u64, payload byte count
+ *   offset 20  payload   size bytes
+ *   then       checksum  u64, FNV-1a over the payload bytes
  *
- * Readers return std::nullopt on any mismatch — bad magic, unknown
- * version, truncation, checksum failure — so callers can fall back
- * (e.g. recompute and overwrite a corrupt cache entry) instead of
- * dying inside the parser.
+ * This file owns that layout and the checksum; no other code reads
+ * or writes an envelope field. A reader refuses, in this order: a
+ * magic byte that differs (checked as soon as it is in), another
+ * version (at 12 bytes), a claimed size above the caller's cap (at
+ * 20 bytes, before any payload byte is awaited or allocated), and a
+ * checksum mismatch (only once the whole frame is in, so an
+ * incomplete frame is never hashed). Every reader applies the same
+ * checks:
+ *
+ *  - scanEnvelope looks at bytes already in memory and answers
+ *    incomplete, malformed or complete. The socket reactor
+ *    (serve/socket.cc) calls it after every read to reassemble
+ *    frames, and Server::handleFrame on its one frame.
+ *  - readEnvelope reads one envelope from a stream: wct query's and
+ *    the store client's readFrame and readStoreFrame.
+ *  - readEnvelopeHeader and readEnvelopeTrailer are its two halves,
+ *    for a payload read in parts: the artifact store reads its
+ *    (kind, key, length) prefix, then the payload straight into the
+ *    string it returns, and checks the trailer over both.
+ *
+ * Readers return std::nullopt (or malformed) on any mismatch, so
+ * callers can fall back (e.g. recompute and overwrite a corrupt cache
+ * entry) instead of dying inside the parser. Every caller passes its
+ * own payload cap, at most kMaxFilePayload.
  */
 
 #ifndef WCT_DATA_BINARY_IO_HH
 #define WCT_DATA_BINARY_IO_HH
 
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <optional>
 #include <span>
@@ -114,23 +138,68 @@ class ByteParser
     bool ok_ = true;
 };
 
-/** Write one checksummed envelope (see file comment for the layout). */
+/**
+ * Write one checksummed envelope whose payload is `parts` back to
+ * back: the bytes of the single-payload overload on their
+ * concatenation, without joining them in memory.
+ */
 void writeEnvelope(std::ostream &out, std::string_view magic8,
-                   std::uint32_t version, std::string_view payload);
+                   std::uint32_t version,
+                   std::initializer_list<std::string_view> parts);
+
+/** Write one checksummed envelope (see file comment for the layout). */
+inline void
+writeEnvelope(std::ostream &out, std::string_view magic8,
+              std::uint32_t version, std::string_view payload)
+{
+    writeEnvelope(out, magic8, version, {payload});
+}
+
+/** What scanEnvelope found at the front of a byte buffer. */
+struct EnvelopeScan
+{
+    enum State
+    {
+        Incomplete, ///< every byte so far is valid; wait for more
+        Malformed,  ///< refused; framing cannot resync after this
+        Complete,   ///< one whole, verified envelope
+    };
+
+    State state = Incomplete;
+
+    /** Complete: the payload, a view into the scanned bytes. */
+    std::string_view payload;
+
+    /** Bytes the envelope takes (header, payload and checksum);
+     * known once the 20 header bytes passed, 0 before. */
+    std::size_t frameBytes = 0;
+};
 
 /**
- * The header half of writeEnvelope and readEnvelope (magic, version
- * and payload size), for a caller that writes or reads a payload of
- * its own framing in pieces and checksums them as one stream through
- * fnv1a64's seed (the artifact store). The header reader rejects what
- * readEnvelope rejects before allocating: bad magic, another version,
- * truncation and a claimed size above `maxPayload`.
+ * Check the envelope at the front of `bytes` as far as its bytes
+ * reach, in the order the file comment gives. Bytes after a complete
+ * envelope are left to the caller (the next frame of a stream).
  */
-void writeEnvelopeHeader(std::ostream &out, std::string_view magic8,
-                         std::uint32_t version, std::uint64_t size);
+EnvelopeScan scanEnvelope(std::string_view bytes,
+                          std::string_view magic8,
+                          std::uint32_t version,
+                          std::uint64_t maxPayload);
+
+/**
+ * Read and check an envelope's 20 header bytes; the claimed payload
+ * size, or nullopt on bad magic, another version, truncation or a
+ * size above `maxPayload`.
+ */
 std::optional<std::uint64_t>
 readEnvelopeHeader(std::istream &in, std::string_view magic8,
                    std::uint32_t version, std::uint64_t maxPayload);
+
+/**
+ * Read the checksum that follows a payload read as `parts`, in
+ * order; false when it is missing or does not match them.
+ */
+bool readEnvelopeTrailer(std::istream &in,
+                         std::initializer_list<std::string_view> parts);
 
 /**
  * Read and verify one envelope; nullopt on bad magic, version

@@ -90,8 +90,9 @@ StoreClient::call(const StoreRequest &request, std::string *err)
     FdStreambuf buf(fd_);
     std::ostream out(&buf);
     std::istream in(&buf);
-    writeStoreFrame(out, encodeStoreRequest(request));
-    if (!out) {
+    const std::string frame = encodeStoreRequest(request);
+    if (!out.write(frame.data(), static_cast<std::streamsize>(frame.size()))
+             .flush()) {
         if (err != nullptr)
             *err = "write failed (daemon closed the connection?)";
         return std::nullopt;

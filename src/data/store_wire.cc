@@ -348,12 +348,4 @@ readStoreFrame(std::istream &in)
                         kMaxStoreFramePayload);
 }
 
-void
-writeStoreFrame(std::ostream &out, std::string_view frame)
-{
-    out.write(frame.data(),
-              static_cast<std::streamsize>(frame.size()));
-    out.flush();
-}
-
 } // namespace wct

@@ -147,9 +147,6 @@ decodeStoreResponse(std::string_view payload,
  */
 std::optional<std::string> readStoreFrame(std::istream &in);
 
-/** Write one already-encoded frame to a stream and flush it. */
-void writeStoreFrame(std::ostream &out, std::string_view frame);
-
 } // namespace wct
 
 #endif // WCT_DATA_STORE_WIRE_HH

@@ -1,7 +1,8 @@
 #include "serve/server.hh"
 
 #include <chrono>
-#include <sstream>
+
+#include "data/binary_io.hh"
 
 namespace wct::serve
 {
@@ -69,12 +70,13 @@ Server::loadModelFromStore(const ArtifactStore &store,
 std::string
 Server::handleFrame(std::string_view frame)
 {
-    std::istringstream in{std::string(frame)};
-    const auto payload = readFrame(in);
-    if (!payload)
+    const EnvelopeScan scan =
+        scanEnvelope(frame, std::string_view(kWireMagic, 8),
+                     kWireFormatVersion, kMaxFramePayload);
+    if (scan.state != EnvelopeScan::Complete)
         return malformedResponse(
             "bad frame envelope (magic, version, or checksum)");
-    return handlePayload(*payload);
+    return handlePayload(scan.payload);
 }
 
 std::string

@@ -6,7 +6,6 @@
 #include <istream>
 #include <new>
 #include <ostream>
-#include <string_view>
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -27,27 +26,10 @@ namespace
 constexpr std::uint64_t kListenTag = 0;
 constexpr std::uint64_t kWakeTag = 1;
 
-/** Envelope header: magic(8) + version(u32) + size(u64). */
-constexpr std::size_t kHeaderBytes = 20;
-
-/** Trailing FNV-1a checksum. */
-constexpr std::size_t kChecksumBytes = 8;
-
-std::uint32_t
-readLe32(const std::string &bytes, std::size_t at)
-{
-    std::uint32_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof v);
-    return v; // envelopes are little-endian, as is every target ABI
-}
-
-std::uint64_t
-readLe64(const std::string &bytes, std::size_t at)
-{
-    std::uint64_t v = 0;
-    std::memcpy(&v, bytes.data() + at, sizeof v);
-    return v;
-}
+/** The one diagnostic a connection gets before it is dropped for a
+ * frame scanEnvelope refused or a stream cut mid-frame. */
+constexpr char kBadEnvelope[] =
+    "bad frame envelope (magic, version, size, or checksum)";
 
 } // namespace
 
@@ -183,55 +165,24 @@ SocketServer::markMalformed(Conn &conn, const char *reason)
 void
 SocketServer::parseFrames(std::uint64_t id, Conn &conn)
 {
-    // Incremental reassembly: validate each envelope field as soon
-    // as its bytes are in, so hostile prefixes fail fast and a
+    // Incremental reassembly: scanEnvelope checks each field as soon
+    // as its bytes are in, so a hostile prefix fails fast and a
     // claimed size above the cap is refused before buffering a
     // "frame" that would never end.
     while (!conn.busy && !conn.closeAfterFlush) {
-        const std::size_t have = conn.in.size();
-        if (have == 0)
-            break;
-        const std::size_t prefix = std::min<std::size_t>(have, 8);
-        if (std::memcmp(conn.in.data(), config_.frameMagic.data(),
-                        prefix) != 0) {
-            markMalformed(conn, "bad frame envelope (magic, "
-                                "version, size, or checksum)");
-            break;
-        }
-        if (have < 12)
-            break;
-        if (readLe32(conn.in, 8) != config_.frameVersion) {
-            markMalformed(conn, "bad frame envelope (magic, "
-                                "version, size, or checksum)");
-            break;
-        }
-        if (have < kHeaderBytes)
-            break;
-        const std::uint64_t size = readLe64(conn.in, 12);
-        if (size > config_.maxFramePayload) {
-            markMalformed(conn, "bad frame envelope (magic, "
-                                "version, size, or checksum)");
-            break;
-        }
-        const std::size_t total =
-            kHeaderBytes + static_cast<std::size_t>(size) +
-            kChecksumBytes;
-        if (have < total)
-            break; // incomplete: wait for more bytes
-        const std::string_view payload(
-            conn.in.data() + kHeaderBytes,
-            static_cast<std::size_t>(size));
-        if (fnv1a64(payload) !=
-            readLe64(conn.in, kHeaderBytes +
-                                  static_cast<std::size_t>(size))) {
-            markMalformed(conn, "bad frame envelope (magic, "
-                                "version, size, or checksum)");
+        const EnvelopeScan scan =
+            scanEnvelope(conn.in, config_.frameMagic,
+                         config_.frameVersion, config_.maxFramePayload);
+        if (scan.state == EnvelopeScan::Incomplete)
+            break; // wait for more bytes
+        if (scan.state == EnvelopeScan::Malformed) {
+            markMalformed(conn, kBadEnvelope);
             break;
         }
         Work work;
         work.conn = id;
-        work.payload.assign(payload);
-        conn.in.erase(0, total);
+        work.payload.assign(scan.payload);
+        conn.in.erase(0, scan.frameBytes);
         conn.busy = true; // flow control: no reads until completion
         {
             std::lock_guard lock(workMutex_);
@@ -306,9 +257,7 @@ SocketServer::pump(std::uint64_t id, Conn &conn)
         // response (the stream was truncated mid-frame).
         if (!conn.busy && !conn.closeAfterFlush && conn.readClosed) {
             if (!conn.in.empty())
-                markMalformed(conn,
-                              "bad frame envelope (magic, version, "
-                              "size, or checksum)");
+                markMalformed(conn, kBadEnvelope);
             else
                 conn.closeAfterFlush = true;
         }
@@ -584,8 +533,9 @@ ServeClient::call(const Request &request, std::string *err)
     FdStreambuf buf(fd_);
     std::ostream out(&buf);
     std::istream in(&buf);
-    writeFrame(out, encodeRequest(request));
-    if (!out) {
+    const std::string frame = encodeRequest(request);
+    if (!out.write(frame.data(), static_cast<std::streamsize>(frame.size()))
+             .flush()) {
         if (err != nullptr)
             *err = "write failed (server closed the connection?)";
         return std::nullopt;

@@ -311,12 +311,4 @@ readFrame(std::istream &in)
                         kMaxFramePayload);
 }
 
-void
-writeFrame(std::ostream &out, std::string_view frame)
-{
-    out.write(frame.data(),
-              static_cast<std::streamsize>(frame.size()));
-    out.flush();
-}
-
 } // namespace wct::serve

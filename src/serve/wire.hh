@@ -168,9 +168,6 @@ std::optional<Response> decodeResponse(std::string_view payload,
  */
 std::optional<std::string> readFrame(std::istream &in);
 
-/** Write one already-encoded frame to a stream. */
-void writeFrame(std::ostream &out, std::string_view frame);
-
 } // namespace wct::serve
 
 #endif // WCT_SERVE_WIRE_HH

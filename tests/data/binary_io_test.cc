@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the binary serialization primitives: sink/parser round
- * trips, envelope integrity checking, and the Dataset payload layout
- * sealed in an envelope.
+ * trips, envelope integrity checking, the incremental envelope
+ * scanner, and the Dataset payload layout sealed in an envelope.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -242,6 +243,91 @@ TEST(EnvelopeTest, PayloadCapBoundaryIsExact)
                                   payload.size() - 1)
                          .has_value());
     }
+}
+
+/** One writeEnvelope frame of kTestMagic around `payload`. */
+std::string
+sealFrame(std::string_view payload)
+{
+    std::ostringstream out;
+    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, payload);
+    return out.str();
+}
+
+TEST(EnvelopeScanTest, EachFieldIsCheckedAsSoonAsItsBytesAreIn)
+{
+    // Each row is fed to scanEnvelope one prefix at a time, as a
+    // socket delivers it: every prefix shorter than `decidedAt` is
+    // incomplete, and from `decidedAt` bytes on the verdict is
+    // `state`.
+    const std::string payload = "payload";
+    const std::string frame = sealFrame(payload);
+    ASSERT_EQ(frame.size(), 28 + payload.size());
+    struct Row
+    {
+        std::string label;
+        std::string bytes;
+        std::uint64_t cap;
+        std::size_t decidedAt;
+        EnvelopeScan::State state;
+    };
+    std::vector<Row> rows = {
+        {"valid frame", frame, 64, frame.size(), EnvelopeScan::Complete},
+        {"payload exactly at the cap", frame, payload.size(),
+         frame.size(), EnvelopeScan::Complete},
+        {"frame, then the next one's first bytes",
+         frame + frame.substr(0, 13), 64, frame.size(),
+         EnvelopeScan::Complete},
+    };
+    for (std::size_t at = 0; at < 8; ++at) {
+        std::string bytes = frame;
+        bytes[at] ^= 0x20;
+        rows.push_back({"magic byte " + std::to_string(at), bytes, 64,
+                        at + 1, EnvelopeScan::Malformed});
+    }
+    {
+        std::ostringstream out;
+        writeEnvelope(out, kTestMagic, kDatasetFormatVersion + 1, payload);
+        rows.push_back({"foreign version", out.str(), 64, 12,
+                        EnvelopeScan::Malformed});
+    }
+    {
+        // The header alone: no payload byte is ever sent.
+        const std::string header =
+            sealFrame(std::string(65, 'p')).substr(0, 20);
+        rows.push_back({"size one above the cap", header, 64, 20,
+                        EnvelopeScan::Malformed});
+    }
+    for (const std::size_t at : {std::size_t(20), frame.size() - 8,
+                                 frame.size() - 1}) {
+        std::string bytes = frame;
+        bytes[at] ^= 0x01;
+        rows.push_back({"flipped byte " + std::to_string(at), bytes, 64,
+                        frame.size(), EnvelopeScan::Malformed});
+    }
+
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.label);
+        for (std::size_t n = 0; n <= row.bytes.size(); ++n) {
+            const EnvelopeScan scan = scanEnvelope(
+                std::string_view(row.bytes).substr(0, n), kTestMagic,
+                kDatasetFormatVersion, row.cap);
+            ASSERT_EQ(scan.state, n < row.decidedAt
+                                      ? EnvelopeScan::Incomplete
+                                      : row.state)
+                << "after " << n << " bytes";
+            if (scan.state == EnvelopeScan::Complete) {
+                EXPECT_EQ(scan.payload, payload);
+                EXPECT_EQ(scan.frameBytes, frame.size());
+            }
+        }
+    }
+
+    // The header alone tells how long the whole frame is.
+    EXPECT_EQ(scanEnvelope(std::string_view(frame).substr(0, 20),
+                           kTestMagic, kDatasetFormatVersion, 64)
+                  .frameBytes,
+              frame.size());
 }
 
 TEST(DatasetBinaryTest, HostileRowCountRejected)

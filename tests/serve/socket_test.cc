@@ -2,23 +2,26 @@
  * @file
  * Socket-transport tests: the same request/response session over a
  * Unix-domain socket and over loopback TCP, the connection cap, raw
- * garbage on a connection, and client-initiated shutdown.
+ * garbage on a connection, frame reassembly from single bytes and
+ * from an oversized header alone, and client-initiated shutdown.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
+#include <chrono>
 #include <filesystem>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include "serve/server.hh"
 #include "serve/socket.hh"
 #include "tests/serve/serve_support.hh"
+#include "util/socket_io.hh"
 
 namespace wct::serve
 {
@@ -26,6 +29,49 @@ namespace
 {
 
 using test::TempDir;
+
+/** A raw client connection that speaks no protocol on its own. Its
+ * reads time out after 10 s, so a server that waits for bytes that
+ * never come fails the test instead of hanging it. */
+int
+rawConnect(const std::string &path)
+{
+    std::string err;
+    const int fd = wct::connectUnix(path, &err);
+    EXPECT_GE(fd, 0) << err;
+    if (fd >= 0)
+        setSocketTimeoutMs(fd, 10000);
+    return fd;
+}
+
+/** Everything the server sends until it closes the connection;
+ * nullopt when a read fails or times out first. */
+std::optional<std::string>
+readToEof(int fd)
+{
+    std::string received;
+    char buffer[4096];
+    for (;;) {
+        const ssize_t n = ::read(fd, buffer, sizeof buffer);
+        if (n == 0)
+            return received;
+        if (n < 0)
+            return std::nullopt;
+        received.append(buffer, static_cast<std::size_t>(n));
+    }
+}
+
+/** The one response frame in `received`, which must hold nothing
+ * else. */
+std::optional<Response>
+onlyResponse(const std::string &received)
+{
+    std::istringstream in(received);
+    const auto payload = readFrame(in);
+    if (!payload || in.peek() != std::char_traits<char>::eof())
+        return std::nullopt;
+    return decodeResponse(*payload);
+}
 
 /** One full client session against an already-started transport. */
 void
@@ -220,36 +266,20 @@ TEST(SocketTest, RawGarbageGetsOneMalformedResponseThenEof)
     ASSERT_TRUE(transport.start(&err)) << err;
 
     // A raw client that speaks no protocol at all.
-    sockaddr_un addr = {};
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, config.unixPath.c_str(),
-                config.unixPath.size() + 1);
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = rawConnect(config.unixPath);
     ASSERT_GE(fd, 0);
-    ASSERT_EQ(::connect(fd,
-                        reinterpret_cast<const sockaddr *>(&addr),
-                        sizeof addr),
-              0);
     const char junk[] = "GET / HTTP/1.1\r\n\r\n";
     ASSERT_GT(::write(fd, junk, sizeof junk - 1), 0);
     ::shutdown(fd, SHUT_WR);
 
     // The server answers with exactly one MalformedFrame frame and
     // closes; drain the connection to EOF and decode what it sent.
-    std::string received;
-    char buffer[4096];
-    ssize_t n;
-    while ((n = ::read(fd, buffer, sizeof buffer)) > 0)
-        received.append(buffer, static_cast<std::size_t>(n));
+    const auto received = readToEof(fd);
     ::close(fd);
-
-    std::istringstream in(received);
-    const auto payload = readFrame(in);
-    ASSERT_TRUE(payload.has_value());
-    const auto response = decodeResponse(*payload);
+    ASSERT_TRUE(received.has_value());
+    const auto response = onlyResponse(*received);
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, Status::MalformedFrame);
-    EXPECT_FALSE(readFrame(in).has_value()); // nothing else followed
 
     // The server survived and serves a well-behaved client.
     auto client = ServeClient::connectUnix(config.unixPath, &err);
@@ -261,6 +291,82 @@ TEST(SocketTest, RawGarbageGetsOneMalformedResponseThenEof)
     EXPECT_EQ(counted->stats.malformedFrames, 1u);
 
     client.reset();
+    transport.stop();
+    server.beginShutdown();
+    server.drain();
+}
+
+TEST(SocketTest, OversizedHeaderIsRefusedWithoutWaitingForPayload)
+{
+    TempDir dir("wct_socket_oversized");
+    Server server;
+    SocketConfig config;
+    config.unixPath = dir.file("serve.sock");
+    SocketServer transport(server, config);
+    std::string err;
+    ASSERT_TRUE(transport.start(&err)) << err;
+
+    // A 20-byte header claiming one byte above the cap, on a
+    // connection the client leaves open: the size alone is refused,
+    // with no payload byte sent or awaited.
+    const std::uint64_t claimed = config.maxFramePayload + 1;
+    std::string header(kWireMagic, 8);
+    header.append(reinterpret_cast<const char *>(&kWireFormatVersion),
+                  sizeof kWireFormatVersion);
+    header.append(reinterpret_cast<const char *>(&claimed),
+                  sizeof claimed);
+    const int fd = rawConnect(config.unixPath);
+    ASSERT_GE(fd, 0);
+    ASSERT_EQ(::write(fd, header.data(), header.size()),
+              static_cast<ssize_t>(header.size()));
+
+    const auto received = readToEof(fd);
+    ::close(fd);
+    ASSERT_TRUE(received.has_value())
+        << "no EOF: the server waited for the claimed payload";
+    const auto response = onlyResponse(*received);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::MalformedFrame);
+
+    transport.stop();
+    server.beginShutdown();
+    server.drain();
+}
+
+TEST(SocketTest, RequestWrittenOneByteAtATimeIsServed)
+{
+    TempDir dir("wct_socket_bytewise");
+    Server server;
+    SocketConfig config;
+    config.unixPath = dir.file("serve.sock");
+    SocketServer transport(server, config);
+    std::string err;
+    ASSERT_TRUE(transport.start(&err)) << err;
+
+    // The reactor sees the frame grow a byte at a time, across every
+    // field boundary, and dispatches it only once it is whole.
+    Request stats;
+    stats.op = Opcode::Stats;
+    stats.id = 77;
+    const std::string frame = encodeRequest(stats);
+    const int fd = rawConnect(config.unixPath);
+    ASSERT_GE(fd, 0);
+    for (const char byte : frame) {
+        ASSERT_EQ(::write(fd, &byte, 1), 1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::shutdown(fd, SHUT_WR);
+
+    const auto received = readToEof(fd);
+    ::close(fd);
+    ASSERT_TRUE(received.has_value());
+    const auto response = onlyResponse(*received);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::Ok);
+    EXPECT_EQ(response->op, Opcode::Stats);
+    EXPECT_EQ(response->id, 77u);
+    EXPECT_EQ(response->stats.malformedFrames, 0u);
+
     transport.stop();
     server.beginShutdown();
     server.drain();
