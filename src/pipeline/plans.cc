@@ -552,7 +552,7 @@ runPlan(Pipeline &pipe, const std::string &name,
         if (!plan.tables)
             continue;
         const ProfileTable &table = tables.emplace_back(profileStage(
-            pipe, suite.name, data, model.tree, step.trainKey));
+            pipe, suite, data, model.tree, step.trainKey));
 
         out << "== " << suite.name << " ==\n";
         out << "benchmarks: " << suite.benchmarks.size()

@@ -1,5 +1,6 @@
 #include "pipeline/stages.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <sstream>
@@ -696,14 +697,30 @@ trainStage(Pipeline &pipe, const std::string &suiteName,
 }
 
 ProfileTable
-profileStage(Pipeline &pipe, const std::string &suiteName,
+profileStage(Pipeline &pipe, const SuiteProfile &suite,
              const SuiteSource &data, const ModelTree &tree,
              std::uint64_t trainKey)
 {
     const ArtifactId id{"profile", profileStageKey(trainKey)};
+    // A table that decodes is still refused unless it can be this
+    // suite's under this tree: one row per benchmark, in suite order,
+    // and one share per leaf model.
+    const auto decode =
+        [&](std::string_view payload) -> std::optional<ProfileTable> {
+        auto table = decodeProfileTable(payload);
+        if (!table || table->numModels() != tree.numLeaves() ||
+            !std::equal(table->rows().begin(), table->rows().end(),
+                        suite.benchmarks.begin(), suite.benchmarks.end(),
+                        [](const BenchmarkProfileRow &row,
+                           const BenchmarkProfile &bench) {
+                            return row.name == bench.name;
+                        }))
+            return std::nullopt;
+        return table;
+    };
     return pipe.run<ProfileTable>(
-        "profile:" + suiteName, id, encodeProfileTable,
-        decodeProfileTable, [&] { return ProfileTable(data(), tree); });
+        "profile:" + suite.name, id, encodeProfileTable, decode,
+        [&] { return ProfileTable(data(), tree); });
 }
 
 TransferabilityReport

@@ -216,8 +216,10 @@ SuiteModel trainStage(Pipeline &pipe, const std::string &suiteName,
                       const SuiteModelConfig &config);
 
 /** Classify the suite into leaf profiles, cached under ("profile").
- * `data` is called only on a miss. */
-ProfileTable profileStage(Pipeline &pipe, const std::string &suiteName,
+ * `data` is called only on a miss. A stored table whose rows are not
+ * `suite`'s benchmarks in suite order, or whose model count is not
+ * `tree`'s leaf count, is refused and recomputed. */
+ProfileTable profileStage(Pipeline &pipe, const SuiteProfile &suite,
                           const SuiteSource &data,
                           const ModelTree &tree,
                           std::uint64_t trainKey);

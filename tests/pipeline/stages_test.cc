@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include <unistd.h>
 
@@ -577,16 +578,21 @@ TEST(PlanTest, WarmFullPlanCollectsOnlyOnDemand)
 
 TEST(PlanTest, ProfileRowOfTheWrongWidthIsRecomputed)
 {
-    // A checksummed profile artifact whose first benchmark row holds
-    // one share too many (a buggy writer, or a store daemon that
-    // lies) is refused like a checksum failure: the warm plan warns,
-    // recomputes that stage from the stored shards and prints the
-    // cold bytes.
+    // A checksummed profile artifact that decodes but cannot be this
+    // suite's table under this model (a buggy writer, or a store
+    // daemon that lies) is refused like a checksum failure: a warm
+    // plan warns, recomputes that stage from the stored shards and
+    // prints the cold bytes. The corruptions: a first benchmark row
+    // with one share too many, a renamed benchmark (one `paper`
+    // highlights), two benchmarks swapped, and one leaf model too
+    // many in every row.
     const TempDir dir("wide_profile");
     const ArtifactStore store(dir.path.string());
     const pipeline::PlanProtocol protocol = tinyProtocol();
     pipeline::Pipeline cold_pipe{store};
     const std::string cold = planText(cold_pipe, "full");
+    pipeline::Pipeline paper_pipe{store};
+    const std::string paper = planText(paper_pipe, "paper");
 
     const ArtifactId cpu_profile{
         "profile",
@@ -597,17 +603,42 @@ TEST(PlanTest, ProfileRowOfTheWrongWidthIsRecomputed)
     ASSERT_TRUE(stored.has_value());
     const auto table = decodeProfileTable(*stored);
     ASSERT_TRUE(table.has_value());
-    ProfileParts wide(*table);
-    wide.rows[0].percent.push_back(0.0);
-    ASSERT_TRUE(store.store(cpu_profile, wide.encode()));
+    const ProfileParts real(*table);
 
-    pipeline::Pipeline warm_pipe{store};
-    EXPECT_EQ(planText(warm_pipe, "full"), cold);
-    EXPECT_EQ(warm_pipe.runs().size(), 8 + 29u);
-    for (const StageRun &run : warm_pipe.runs())
-        EXPECT_EQ(run.cached, run.id.fileName() != cpu_profile.fileName())
-            << run.label;
-    EXPECT_EQ(store.load(cpu_profile), stored);
+    ProfileParts wide = real;
+    wide.rows[0].percent.push_back(0.0);
+    ProfileParts renamed = real;
+    for (BenchmarkProfileRow &row : renamed.rows)
+        if (row.name == "482.sphinx3")
+            row.name = "482.sphinx";
+    ProfileParts swapped = real;
+    std::swap(swapped.rows[0], swapped.rows[1]);
+    ProfileParts extra_model = real;
+    ++extra_model.models;
+    for (BenchmarkProfileRow *row : {&extra_model.suite, &extra_model.average})
+        row->percent.push_back(0.0);
+    for (BenchmarkProfileRow &row : extra_model.rows)
+        row.percent.push_back(0.0);
+
+    for (const auto &[label, parts] :
+         {std::pair{"wide row", wide}, std::pair{"renamed row", renamed},
+          std::pair{"swapped rows", swapped},
+          std::pair{"extra model", extra_model}}) {
+        SCOPED_TRACE(label);
+        for (const auto &[plan, text] :
+             {std::pair{"full", cold}, std::pair{"paper", paper}}) {
+            SCOPED_TRACE(plan);
+            ASSERT_TRUE(store.store(cpu_profile, parts.encode()));
+            pipeline::Pipeline warm_pipe{store};
+            EXPECT_EQ(planText(warm_pipe, plan), text);
+            EXPECT_EQ(warm_pipe.runs().size(), 8 + 29u);
+            for (const StageRun &run : warm_pipe.runs())
+                EXPECT_EQ(run.cached,
+                          run.id.fileName() != cpu_profile.fileName())
+                    << run.label;
+            EXPECT_EQ(store.load(cpu_profile), stored);
+        }
+    }
 }
 
 TEST(PlanTest, PaperIsFullThenSectionsFromFullsArtifacts)
