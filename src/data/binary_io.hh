@@ -10,9 +10,9 @@
  * of silently parsing into garbage.
  *
  * The envelope is the one container of every byte wct writes or
- * sends: cached suites (WCTSUIT), store artifacts (WCTARTF), serving
- * frames (WCTSERV) and store-wire frames (WCTSTOR). Its layout, all
- * integers little-endian:
+ * sends: suite bytes for digests (WCTSUIT), store artifacts
+ * (WCTARTF), serving frames (WCTSERV) and store-wire frames
+ * (WCTSTOR). Its layout, all integers little-endian:
  *
  *   offset  0  magic     8 bytes, caller-chosen (e.g. "WCTSUIT\0")
  *   offset  8  version   u32, caller-chosen format version
@@ -21,13 +21,15 @@
  *   then       checksum  u64, FNV-1a over the payload bytes
  *
  * This file owns that layout and the checksum; no other code reads
- * or writes an envelope field. A reader refuses, in this order: a
- * magic byte that differs (checked as soon as it is in), another
- * version (at 12 bytes), a claimed size above the caller's cap (at
- * 20 bytes, before any payload byte is awaited or allocated), and a
- * checksum mismatch (only once the whole frame is in, so an
- * incomplete frame is never hashed). Every reader applies the same
- * checks:
+ * or writes an envelope field. writeEnvelope is the one writer:
+ * writeSuiteData, both wires' encoders, and the artifact store,
+ * which passes its (kind, key, length) prefix and the payload as two
+ * parts. A reader refuses, in this order: a magic byte that differs
+ * (checked as soon as it is in), another version (at 12 bytes), a
+ * claimed size above the caller's cap (at 20 bytes, before any
+ * payload byte is awaited or allocated), and a checksum mismatch
+ * (only once the whole frame is in, so an incomplete frame is never
+ * hashed). Every reader applies the same checks:
  *
  *  - scanEnvelope looks at bytes already in memory and answers
  *    incomplete, malformed or complete. The socket reactor

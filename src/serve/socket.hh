@@ -16,16 +16,16 @@
  * accepted and immediately closed, which a client observes as EOF
  * and treats like overload.
  *
- * Frame reassembly is incremental over the binary_io envelope
- * layout: the magic is checked as soon as 8 bytes arrived, the
- * version at 12, the claimed payload size against the cap at 20 (so
- * a hostile header can never drive a giant buffer), and the FNV-1a
- * checksum once the full frame is in. Any failure earns one
- * MalformedFrame response and the connection is dropped (framing
- * cannot resync inside a byte stream). Each connection has at most
- * one frame in flight — while the handler runs, the reactor stops
- * reading that connection (TCP flow control is the buffer bound) —
- * so responses keep the strict request order of the old
+ * Frame reassembly is incremental: after every read the reactor asks
+ * binary_io's scanEnvelope whether the buffered bytes are an
+ * incomplete, malformed or complete envelope (data/binary_io.hh
+ * gives the layout and when each field is checked; a hostile size is
+ * refused before any payload byte is awaited). A malformed frame
+ * earns one MalformedFrame response and the connection is dropped
+ * (framing cannot resync inside a byte stream). Each connection has
+ * at most one frame in flight — while the handler runs, the reactor
+ * stops reading that connection (TCP flow control is the buffer
+ * bound) — so responses keep the strict request order of the old
  * one-thread-per-connection loop.
  *
  * Shutdown: once the handler enters draining (a shutdown frame or
