@@ -71,7 +71,7 @@ std::string
 envelopeBytes(std::string_view payload)
 {
     std::ostringstream out;
-    writeEnvelope(out, kEnvelopeMagic, 1, payload);
+    writeEnvelope(out, kEnvelopeMagic, 1, {payload});
     return out.str();
 }
 

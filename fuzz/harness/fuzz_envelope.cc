@@ -66,7 +66,7 @@ checkEnvelope(std::string_view bytes, std::uint64_t cap)
     WCT_FUZZ_ASSERT(payload->size() <= cap);
     // Round trip: re-sealing the payload must re-read identically.
     std::ostringstream sealed;
-    writeEnvelope(sealed, kMagic, kVersion, *payload);
+    writeEnvelope(sealed, kMagic, kVersion, {*payload});
     std::istringstream again(sealed.str());
     const auto reread = readEnvelope(again, kMagic, kVersion, cap);
     WCT_FUZZ_ASSERT(reread.has_value() && *reread == *payload);

@@ -24,7 +24,7 @@ writeSuiteData(std::ostream &out, const SuiteData &data)
         appendDataset(sink, bench.samples);
     }
     writeEnvelope(out, std::string_view(kSuiteMagic, 8),
-                  kSuiteDataFormatVersion, sink.bytes());
+                  kSuiteDataFormatVersion, {sink.bytes()});
 }
 
 } // namespace wct

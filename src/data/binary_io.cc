@@ -199,39 +199,29 @@ scanEnvelope(std::string_view bytes, std::string_view magic8,
     // The cap bounds frameBytes below, so it cannot wrap.
     wct_assert(maxPayload <= kMaxFilePayload,
                "envelope payload cap above kMaxFilePayload");
-    EnvelopeScan scan;
+    constexpr EnvelopeScan kMalformed{EnvelopeScan::Malformed};
     const std::size_t magic_in = std::min(bytes.size(), kMagicBytes);
-    if (bytes.substr(0, magic_in) != magic8.substr(0, magic_in)) {
-        scan.state = EnvelopeScan::Malformed;
-        return scan;
-    }
+    if (bytes.substr(0, magic_in) != magic8.substr(0, magic_in))
+        return kMalformed;
     if (bytes.size() < kSizeAt)
-        return scan;
-    if (fieldAt<std::uint32_t>(bytes, kMagicBytes) != version) {
-        scan.state = EnvelopeScan::Malformed;
-        return scan;
-    }
+        return {};
+    if (fieldAt<std::uint32_t>(bytes, kMagicBytes) != version)
+        return kMalformed;
     if (bytes.size() < kHeaderBytes)
-        return scan;
+        return {};
     // A claimed size above the cap is refused before a single payload
     // byte is awaited or allocated.
     const std::uint64_t size = fieldAt<std::uint64_t>(bytes, kSizeAt);
-    if (size > maxPayload) {
-        scan.state = EnvelopeScan::Malformed;
-        return scan;
-    }
-    scan.frameBytes = kHeaderBytes + size + kChecksumBytes;
-    if (bytes.size() < scan.frameBytes)
-        return scan; // never hash an incomplete frame
+    if (size > maxPayload)
+        return kMalformed;
+    const std::size_t frame = kHeaderBytes + size + kChecksumBytes;
+    if (bytes.size() < frame)
+        return {EnvelopeScan::Incomplete, {}, frame}; // never hash it
     const std::string_view payload = bytes.substr(kHeaderBytes, size);
     if (fieldAt<std::uint64_t>(bytes, kHeaderBytes + size) !=
-        envelopeChecksum({payload})) {
-        scan.state = EnvelopeScan::Malformed;
-        return scan;
-    }
-    scan.state = EnvelopeScan::Complete;
-    scan.payload = payload;
-    return scan;
+        envelopeChecksum({payload}))
+        return kMalformed;
+    return {EnvelopeScan::Complete, payload, frame};
 }
 
 std::optional<std::uint64_t>

@@ -142,20 +142,11 @@ class ByteParser
 
 /**
  * Write one checksummed envelope whose payload is `parts` back to
- * back: the bytes of the single-payload overload on their
- * concatenation, without joining them in memory.
+ * back, without joining them in memory (`{payload}` for one part).
  */
 void writeEnvelope(std::ostream &out, std::string_view magic8,
                    std::uint32_t version,
                    std::initializer_list<std::string_view> parts);
-
-/** Write one checksummed envelope (see file comment for the layout). */
-inline void
-writeEnvelope(std::ostream &out, std::string_view magic8,
-              std::uint32_t version, std::string_view payload)
-{
-    writeEnvelope(out, magic8, version, {payload});
-}
 
 /** What scanEnvelope found at the front of a byte buffer. */
 struct EnvelopeScan

@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <istream>
 #include <mutex>
-#include <ostream>
 #include <string_view>
 
 #include "util/logging.hh"
@@ -87,16 +86,13 @@ StoreClient::connect(const StoreEndpoint &endpoint, std::string *err)
 std::optional<StoreResponse>
 StoreClient::call(const StoreRequest &request, std::string *err)
 {
-    FdStreambuf buf(fd_);
-    std::ostream out(&buf);
-    std::istream in(&buf);
-    const std::string frame = encodeStoreRequest(request);
-    if (!out.write(frame.data(), static_cast<std::streamsize>(frame.size()))
-             .flush()) {
+    if (!sendAll(fd_, encodeStoreRequest(request))) {
         if (err != nullptr)
             *err = "write failed (daemon closed the connection?)";
         return std::nullopt;
     }
+    FdStreambuf buf(fd_);
+    std::istream in(&buf);
     const auto payload = readStoreFrame(in);
     if (!payload) {
         if (err != nullptr)

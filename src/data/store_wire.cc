@@ -128,7 +128,7 @@ encodeStoreRequest(const StoreRequest &request)
     }
     std::ostringstream out;
     writeEnvelope(out, storeMagic(), kStoreWireFormatVersion,
-                  sink.bytes());
+                  {sink.bytes()});
     return out.str();
 }
 
@@ -170,7 +170,7 @@ encodeStoreResponse(const StoreResponse &response)
     }
     std::ostringstream out;
     writeEnvelope(out, storeMagic(), kStoreWireFormatVersion,
-                  sink.bytes());
+                  {sink.bytes()});
     return out.str();
 }
 

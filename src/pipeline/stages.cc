@@ -705,17 +705,13 @@ profileStage(Pipeline &pipe, const SuiteProfile &suite,
     // A table that decodes is still refused unless it can be this
     // suite's under this tree: one row per benchmark, in suite order,
     // and one share per leaf model.
-    const auto decode =
-        [&](std::string_view payload) -> std::optional<ProfileTable> {
+    const auto decode = [&](std::string_view payload) {
         auto table = decodeProfileTable(payload);
-        if (!table || table->numModels() != tree.numLeaves() ||
-            !std::equal(table->rows().begin(), table->rows().end(),
-                        suite.benchmarks.begin(), suite.benchmarks.end(),
-                        [](const BenchmarkProfileRow &row,
-                           const BenchmarkProfile &bench) {
-                            return row.name == bench.name;
-                        }))
-            return std::nullopt;
+        if (table && (table->numModels() != tree.numLeaves() ||
+                      !std::ranges::equal(table->rows(), suite.benchmarks,
+                                          {}, &BenchmarkProfileRow::name,
+                                          &BenchmarkProfile::name)))
+            table.reset();
         return table;
     };
     return pipe.run<ProfileTable>(

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <istream>
 #include <new>
-#include <ostream>
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -530,16 +529,13 @@ std::optional<Response>
 ServeClient::call(const Request &request, std::string *err)
 {
     timedOut_ = false;
-    FdStreambuf buf(fd_);
-    std::ostream out(&buf);
-    std::istream in(&buf);
-    const std::string frame = encodeRequest(request);
-    if (!out.write(frame.data(), static_cast<std::streamsize>(frame.size()))
-             .flush()) {
+    if (!sendAll(fd_, encodeRequest(request))) {
         if (err != nullptr)
             *err = "write failed (server closed the connection?)";
         return std::nullopt;
     }
+    FdStreambuf buf(fd_);
+    std::istream in(&buf);
     errno = 0;
     const auto payload = readFrame(in);
     if (!payload) {

@@ -44,7 +44,7 @@ std::string
 sealed(const ByteSink &sink)
 {
     std::ostringstream out;
-    writeEnvelope(out, magic(), kWireFormatVersion, sink.bytes());
+    writeEnvelope(out, magic(), kWireFormatVersion, {sink.bytes()});
     return out.str();
 }
 

@@ -17,7 +17,6 @@ namespace wct
 FdStreambuf::FdStreambuf(int fd) : fd_(fd)
 {
     setg(inBuf_, inBuf_, inBuf_);
-    setp(outBuf_, outBuf_ + sizeof outBuf_);
 }
 
 FdStreambuf::int_type
@@ -35,43 +34,21 @@ FdStreambuf::underflow()
     return traits_type::to_int_type(*gptr());
 }
 
-FdStreambuf::int_type
-FdStreambuf::overflow(int_type ch)
+bool
+sendAll(int fd, std::string_view bytes)
 {
-    if (flushOut() != 0)
-        return traits_type::eof();
-    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
-        *pptr() = traits_type::to_char_type(ch);
-        pbump(1);
-    }
-    return traits_type::not_eof(ch);
-}
-
-int
-FdStreambuf::sync()
-{
-    return flushOut();
-}
-
-int
-FdStreambuf::flushOut()
-{
-    const char *data = pbase();
-    std::size_t left = static_cast<std::size_t>(pptr() - pbase());
-    while (left > 0) {
+    while (!bytes.empty()) {
         ssize_t n;
         do {
             // MSG_NOSIGNAL: a peer that already closed must surface
             // as an EPIPE error here, not as a process-wide SIGPIPE.
-            n = ::send(fd_, data, left, MSG_NOSIGNAL);
+            n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
         } while (n < 0 && errno == EINTR);
         if (n <= 0)
-            return -1;
-        data += n;
-        left -= static_cast<std::size_t>(n);
+            return false;
+        bytes.remove_prefix(static_cast<std::size_t>(n));
     }
-    setp(outBuf_, outBuf_ + sizeof outBuf_);
-    return 0;
+    return true;
 }
 
 void

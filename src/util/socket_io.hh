@@ -20,17 +20,17 @@
 #include <cstdint>
 #include <streambuf>
 #include <string>
+#include <string_view>
 
 namespace wct
 {
 
 /**
- * Minimal buffered std::streambuf over a socket descriptor, so the
- * envelope readers/writers of data/binary_io.hh work on a connection
+ * Minimal buffered std::streambuf that reads a socket descriptor, so
+ * the envelope readers of data/binary_io.hh work on a connection
  * exactly as they do on a file. Reads block; shutdown is delivered
  * by ::shutdown on the fd, which turns the parked read into EOF.
- * Writes use MSG_NOSIGNAL so a peer that already closed surfaces as
- * an EPIPE error, not a process-wide SIGPIPE. Does not own the fd.
+ * Does not own the fd.
  */
 class FdStreambuf : public std::streambuf
 {
@@ -39,16 +39,19 @@ class FdStreambuf : public std::streambuf
 
   protected:
     int_type underflow() override;
-    int_type overflow(int_type ch) override;
-    int sync() override;
 
   private:
-    int flushOut();
-
     int fd_;
     char inBuf_[8192];
-    char outBuf_[8192];
 };
+
+/**
+ * Send all of `bytes` on a blocking socket; false once a send fails
+ * (the peer is gone, or a timeout armed by setSocketTimeoutMs
+ * expired). Uses MSG_NOSIGNAL, so a peer that already closed
+ * surfaces as an EPIPE error, not a process-wide SIGPIPE.
+ */
+bool sendAll(int fd, std::string_view bytes);
 
 /** Close a descriptor if it is valid (>= 0); no-op otherwise. */
 void closeFd(int fd);

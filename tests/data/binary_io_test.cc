@@ -113,7 +113,7 @@ sealDataset(const Dataset &data)
     ByteSink sink;
     appendDataset(sink, data);
     std::ostringstream out;
-    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, sink.bytes());
+    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, {sink.bytes()});
     return out.str();
 }
 
@@ -227,7 +227,7 @@ TEST(EnvelopeTest, PayloadCapBoundaryIsExact)
     // accepted sizes, not a fuzzy threshold.
     const std::string payload(64, 'p');
     std::ostringstream sealed;
-    writeEnvelope(sealed, kTestMagic, kDatasetFormatVersion, payload);
+    writeEnvelope(sealed, kTestMagic, kDatasetFormatVersion, {payload});
     const std::string bytes = sealed.str();
     {
         std::istringstream in(bytes);
@@ -250,7 +250,7 @@ std::string
 sealFrame(std::string_view payload)
 {
     std::ostringstream out;
-    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, payload);
+    writeEnvelope(out, kTestMagic, kDatasetFormatVersion, {payload});
     return out.str();
 }
 
@@ -287,7 +287,7 @@ TEST(EnvelopeScanTest, EachFieldIsCheckedAsSoonAsItsBytesAreIn)
     }
     {
         std::ostringstream out;
-        writeEnvelope(out, kTestMagic, kDatasetFormatVersion + 1, payload);
+        writeEnvelope(out, kTestMagic, kDatasetFormatVersion + 1, {payload});
         rows.push_back({"foreign version", out.str(), 64, 12,
                         EnvelopeScan::Malformed});
     }
@@ -342,7 +342,7 @@ TEST(DatasetBinaryTest, HostileRowCountRejected)
     sink.putU64(std::uint64_t(1) << 59); // rows (none present)
     std::ostringstream sealed;
     writeEnvelope(sealed, kTestMagic, kDatasetFormatVersion,
-                  sink.bytes());
+                  {sink.bytes()});
     EXPECT_FALSE(unsealDataset(sealed.str()).has_value());
 }
 

@@ -191,7 +191,7 @@ TEST(LoopbackE2eTest, MalformedFramesGetMalformedFrameResponses)
     // at the payload layer.
     std::ostringstream sealed;
     writeEnvelope(sealed, std::string_view(kWireMagic, 8),
-                  kWireFormatVersion, "\x63junk");
+                  kWireFormatVersion, {"\x63junk"});
     EXPECT_EQ(decode(server.handleFrame(sealed.str())).status,
               Status::MalformedFrame);
     EXPECT_EQ(server.stats().malformedFrames, 4u);

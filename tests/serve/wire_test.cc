@@ -289,7 +289,7 @@ TEST(WireTest, VersionMismatchIsRejected)
         payloadOf(encodeRequest(predictRequest()));
     std::ostringstream future;
     writeEnvelope(future, std::string_view(kWireMagic, 8),
-                  kWireFormatVersion + 1, payload);
+                  kWireFormatVersion + 1, {payload});
     std::istringstream in(future.str());
     EXPECT_FALSE(readFrame(in).has_value());
 }
