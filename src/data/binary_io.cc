@@ -199,7 +199,7 @@ scanEnvelope(std::string_view bytes, std::string_view magic8,
     // The cap bounds frameBytes below, so it cannot wrap.
     wct_assert(maxPayload <= kMaxFilePayload,
                "envelope payload cap above kMaxFilePayload");
-    constexpr EnvelopeScan kMalformed{EnvelopeScan::Malformed};
+    constexpr EnvelopeScan kMalformed{EnvelopeScan::Malformed, {}, 0};
     const std::size_t magic_in = std::min(bytes.size(), kMagicBytes);
     if (bytes.substr(0, magic_in) != magic8.substr(0, magic_in))
         return kMalformed;
@@ -256,10 +256,8 @@ readEnvelope(std::istream &in, std::string_view magic8,
     if (!size)
         return std::nullopt;
     std::string payload(*size, '\0');
-    if (*size > 0 &&
-        !in.read(payload.data(), static_cast<std::streamsize>(*size)))
-        return std::nullopt;
-    if (!readEnvelopeTrailer(in, {payload}))
+    if (!in.read(payload.data(), static_cast<std::streamsize>(*size)) ||
+        !readEnvelopeTrailer(in, {payload}))
         return std::nullopt;
     return payload;
 }

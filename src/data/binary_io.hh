@@ -9,10 +9,10 @@
  * flipped bit is detected by the envelope's FNV-1a checksum instead
  * of silently parsing into garbage.
  *
- * The envelope is the one container of every byte wct writes or
- * sends: suite bytes for digests (WCTSUIT), store artifacts
+ * The envelope wraps suite bytes (WCTSUIT), store artifacts
  * (WCTARTF), serving frames (WCTSERV) and store-wire frames
- * (WCTSTOR). Its layout, all integers little-endian:
+ * (WCTSTOR). Only this file reads or writes its fields or computes
+ * its checksum. Layout, all integers little-endian:
  *
  *   offset  0  magic     8 bytes, caller-chosen (e.g. "WCTSUIT\0")
  *   offset  8  version   u32, caller-chosen format version
@@ -20,32 +20,22 @@
  *   offset 20  payload   size bytes
  *   then       checksum  u64, FNV-1a over the payload bytes
  *
- * This file owns that layout and the checksum; no other code reads
- * or writes an envelope field. writeEnvelope is the one writer:
- * writeSuiteData, both wires' encoders, and the artifact store,
- * which passes its (kind, key, length) prefix and the payload as two
- * parts. A reader refuses, in this order: a magic byte that differs
- * (checked as soon as it is in), another version (at 12 bytes), a
- * claimed size above the caller's cap (at 20 bytes, before any
- * payload byte is awaited or allocated), and a checksum mismatch
- * (only once the whole frame is in, so an incomplete frame is never
- * hashed). Every reader applies the same checks:
+ * Every reader refuses, in this order and as soon as a field's bytes
+ * are in: a magic byte that differs; another version (at 12 bytes);
+ * a size above the caller's cap, at most kMaxFilePayload (at 20
+ * bytes, before any payload byte is awaited or allocated); a
+ * checksum mismatch (once the whole envelope is in, so an incomplete
+ * one is never hashed). A refusal is nullopt or Malformed, so callers
+ * can fall back (e.g. recompute a corrupt cache entry) instead of
+ * dying inside a parser.
  *
- *  - scanEnvelope looks at bytes already in memory and answers
- *    incomplete, malformed or complete. The socket reactor
- *    (serve/socket.cc) calls it after every read to reassemble
- *    frames, and Server::handleFrame on its one frame.
- *  - readEnvelope reads one envelope from a stream: wct query's and
- *    the store client's readFrame and readStoreFrame.
- *  - readEnvelopeHeader and readEnvelopeTrailer are its two halves,
- *    for a payload read in parts: the artifact store reads its
- *    (kind, key, length) prefix, then the payload straight into the
- *    string it returns, and checks the trailer over both.
- *
- * Readers return std::nullopt (or malformed) on any mismatch, so
- * callers can fall back (e.g. recompute and overwrite a corrupt cache
- * entry) instead of dying inside the parser. Every caller passes its
- * own payload cap, at most kMaxFilePayload.
+ * writeEnvelope writes every envelope; the artifact store passes its
+ * (kind, key, length) prefix and the payload as two parts. The
+ * socket reactor's reassembly and Server::handleFrame check bytes in
+ * memory with scanEnvelope; readFrame and readStoreFrame read a
+ * stream with readEnvelope. The artifact store reads the payload
+ * straight into the string it returns between readEnvelopeHeader and
+ * readEnvelopeTrailer, readEnvelope's two halves.
  */
 
 #ifndef WCT_DATA_BINARY_IO_HH
@@ -159,50 +149,36 @@ struct EnvelopeScan
     };
 
     State state = Incomplete;
-
-    /** Complete: the payload, a view into the scanned bytes. */
-    std::string_view payload;
-
-    /** Bytes the envelope takes (header, payload and checksum);
-     * known once the 20 header bytes passed, 0 before. */
+    std::string_view payload; ///< Complete: a view into the bytes
+    /** Header, payload and checksum bytes; 0 until the header is in. */
     std::size_t frameBytes = 0;
 };
 
 /**
- * Check the envelope at the front of `bytes` as far as its bytes
- * reach, in the order the file comment gives. Bytes after a complete
- * envelope are left to the caller (the next frame of a stream).
+ * Check the envelope at the front of `bytes` as far as they reach.
+ * Bytes after a complete envelope are left to the caller (the next
+ * frame of a stream).
  */
 EnvelopeScan scanEnvelope(std::string_view bytes,
                           std::string_view magic8,
                           std::uint32_t version,
                           std::uint64_t maxPayload);
 
-/**
- * Read and check an envelope's 20 header bytes; the claimed payload
- * size, or nullopt on bad magic, another version, truncation or a
- * size above `maxPayload`.
- */
+/** Read and check the header; the claimed payload size, or nullopt. */
 std::optional<std::uint64_t>
 readEnvelopeHeader(std::istream &in, std::string_view magic8,
                    std::uint32_t version, std::uint64_t maxPayload);
 
-/**
- * Read the checksum that follows a payload read as `parts`, in
- * order; false when it is missing or does not match them.
- */
+/** Read the checksum after a payload read as `parts`, in order;
+ * false when it is missing or does not match them. */
 bool readEnvelopeTrailer(std::istream &in,
                          std::initializer_list<std::string_view> parts);
 
 /**
- * Read and verify one envelope; nullopt on bad magic, version
- * mismatch, truncation, or checksum failure. A claimed payload size
- * above `maxPayload` is rejected before any allocation, so a corrupt
- * or hostile length field can never trigger a huge alloc. There is
- * deliberately no default: every caller owns a justified budget
+ * Read and verify one envelope; nullopt on any refusal. There is
+ * deliberately no default cap: every caller owns a justified budget
  * (kMaxFilePayload for on-disk artifacts, kMaxFramePayload for
- * network frames) — see the fuzz harnesses, which drive this reader
- * with each per-caller cap.
+ * network frames), and the fuzz harnesses drive each one.
  */
 std::optional<std::string>
 readEnvelope(std::istream &in, std::string_view magic8,

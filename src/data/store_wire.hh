@@ -4,12 +4,10 @@
  * artifact store (`wct store serve` and the RemoteStore backend).
  *
  * Every message — request or response — is one checksummed envelope
- * in the data/binary_io format (magic "WCTSTOR\0", its own version
- * counter, FNV-1a checksum), the same framing the serving subsystem
- * uses, so truncation and corruption detection are shared instead of
- * reinvented. The payload starts with a one-byte opcode and a
- * caller-chosen request id that the response echoes, then an
- * opcode-specific body:
+ * (data/binary_io.hh) under magic "WCTSTOR\0" and its own version,
+ * the framing the serving wire uses. The payload starts with a
+ * one-byte opcode and a caller-chosen request id that the response
+ * echoes, then an opcode-specific body:
  *
  *   request  := opcode:u8 id:u64 body
  *   response := opcode:u8 id:u64 status:u8 body
@@ -139,12 +137,9 @@ std::optional<StoreResponse>
 decodeStoreResponse(std::string_view payload,
                     std::string *err = nullptr);
 
-/**
- * Read one store frame (envelope) from a stream and return its
- * payload; nullopt on EOF, truncation, bad magic, version mismatch,
- * checksum failure, or a claimed payload size above
- * kMaxStoreFramePayload (checked before any allocation).
- */
+/** Read one store frame from a stream and return its payload;
+ * nullopt on EOF or any envelope refusal, under
+ * kMaxStoreFramePayload. */
 std::optional<std::string> readStoreFrame(std::istream &in);
 
 } // namespace wct

@@ -178,9 +178,7 @@ SocketServer::parseFrames(std::uint64_t id, Conn &conn)
             markMalformed(conn, kBadEnvelope);
             break;
         }
-        Work work;
-        work.conn = id;
-        work.payload.assign(scan.payload);
+        Work work{id, std::string(scan.payload)};
         conn.in.erase(0, scan.frameBytes);
         conn.busy = true; // flow control: no reads until completion
         {

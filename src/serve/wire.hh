@@ -3,12 +3,10 @@
  * Length-prefixed binary wire protocol of the serving subsystem.
  *
  * Every message — request or response — is one checksummed envelope
- * in the data/binary_io format (magic "WCTSERV\0", its own version
- * counter, FNV-1a checksum), so framing, truncation detection and
- * corruption detection are shared with the dataset cache instead of
- * reinvented. The payload starts with a one-byte opcode and a
- * caller-chosen request id that the response echoes, then an
- * opcode-specific body:
+ * (data/binary_io.hh) under magic "WCTSERV\0" and its own version,
+ * so framing and corruption checks are not reinvented here. The
+ * payload starts with a one-byte opcode and a caller-chosen request
+ * id that the response echoes, then an opcode-specific body:
  *
  *   request  := opcode:u8 id:u64 budgetMs:u32 body
  *   response := opcode:u8 id:u64 status:u8 body
@@ -160,12 +158,8 @@ std::optional<Request> decodeRequest(std::string_view payload,
 std::optional<Response> decodeResponse(std::string_view payload,
                                        std::string *err = nullptr);
 
-/**
- * Read one frame (envelope) from a stream and return its payload;
- * nullopt on EOF, truncation, bad magic, version mismatch, checksum
- * failure, or a claimed payload size above kMaxFramePayload (checked
- * before any allocation).
- */
+/** Read one frame from a stream and return its payload; nullopt on
+ * EOF or any envelope refusal, under kMaxFramePayload. */
 std::optional<std::string> readFrame(std::istream &in);
 
 } // namespace wct::serve
