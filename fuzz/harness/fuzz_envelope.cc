@@ -64,9 +64,12 @@ checkEnvelope(std::string_view bytes, std::uint64_t cap)
     WCT_FUZZ_ASSERT(scan.payload == *payload);
     WCT_FUZZ_ASSERT(scan.frameBytes == 28 + payload->size());
     WCT_FUZZ_ASSERT(payload->size() <= cap);
-    // Round trip: re-sealing the payload must re-read identically.
+    // Round trip: re-sealing the payload must re-read identically,
+    // and the in-memory sealer must write the stream writer's bytes.
     std::ostringstream sealed;
     writeEnvelope(sealed, kMagic, kVersion, {*payload});
+    WCT_FUZZ_ASSERT(sealEnvelope(kMagic, kVersion, {*payload}) ==
+                    sealed.str());
     std::istringstream again(sealed.str());
     const auto reread = readEnvelope(again, kMagic, kVersion, cap);
     WCT_FUZZ_ASSERT(reread.has_value() && *reread == *payload);

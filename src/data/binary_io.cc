@@ -43,13 +43,6 @@ fieldAt(std::string_view bytes, std::size_t at)
     return v;
 }
 
-template <typename T>
-void
-writeField(std::ostream &out, T v)
-{
-    out.write(reinterpret_cast<const char *>(&v), sizeof v);
-}
-
 void
 putLe(std::string &bytes, const void *data, std::size_t n)
 {
@@ -58,6 +51,33 @@ putLe(std::string &bytes, const void *data, std::size_t n)
     static_assert(std::endian::native == std::endian::little,
                   "binary_io assumes a little-endian host");
     bytes.append(static_cast<const char *>(data), n);
+}
+
+std::uint64_t
+payloadBytes(std::initializer_list<std::string_view> parts)
+{
+    std::uint64_t size = 0;
+    for (std::string_view part : parts)
+        size += part.size();
+    return size;
+}
+
+/** Hand one envelope, field by field, to `put(data, bytes)`. */
+template <typename Put>
+void
+emitEnvelope(Put put, std::string_view magic8, std::uint32_t version,
+             std::initializer_list<std::string_view> parts)
+{
+    wct_assert(magic8.size() == kMagicBytes,
+               "envelope magic must be 8 bytes");
+    const std::uint64_t size = payloadBytes(parts);
+    const std::uint64_t checksum = envelopeChecksum(parts);
+    put(magic8.data(), kMagicBytes);
+    put(&version, sizeof version);
+    put(&size, sizeof size);
+    for (std::string_view part : parts)
+        put(part.data(), part.size());
+    put(&checksum, sizeof checksum);
 }
 
 } // namespace
@@ -177,17 +197,24 @@ writeEnvelope(std::ostream &out, std::string_view magic8,
               std::uint32_t version,
               std::initializer_list<std::string_view> parts)
 {
-    wct_assert(magic8.size() == kMagicBytes,
-               "envelope magic must be 8 bytes");
-    std::uint64_t size = 0;
-    for (std::string_view part : parts)
-        size += part.size();
-    out.write(magic8.data(), kMagicBytes);
-    writeField(out, version);
-    writeField(out, size);
-    for (std::string_view part : parts)
-        out.write(part.data(), static_cast<std::streamsize>(part.size()));
-    writeField(out, envelopeChecksum(parts));
+    emitEnvelope(
+        [&out](const void *data, std::size_t n) {
+            out.write(static_cast<const char *>(data),
+                      static_cast<std::streamsize>(n));
+        },
+        magic8, version, parts);
+}
+
+std::string
+sealEnvelope(std::string_view magic8, std::uint32_t version,
+             std::initializer_list<std::string_view> parts)
+{
+    std::string frame;
+    frame.reserve(kHeaderBytes + payloadBytes(parts) + kChecksumBytes);
+    emitEnvelope([&frame](const void *data,
+                          std::size_t n) { putLe(frame, data, n); },
+                 magic8, version, parts);
+    return frame;
 }
 
 EnvelopeScan

@@ -29,13 +29,15 @@
  * can fall back (e.g. recompute a corrupt cache entry) instead of
  * dying inside a parser.
  *
- * writeEnvelope writes every envelope; the artifact store passes its
- * (kind, key, length) prefix and the payload as two parts. The
- * socket reactor's reassembly and Server::handleFrame check bytes in
- * memory with scanEnvelope; readFrame and readStoreFrame read a
- * stream with readEnvelope. The artifact store reads the payload
- * straight into the string it returns between readEnvelopeHeader and
- * readEnvelopeTrailer, readEnvelope's two halves.
+ * writeEnvelope writes an envelope to a stream and sealEnvelope to a
+ * string; the artifact store passes its (kind, key, length) prefix
+ * and the payload as two parts, the store wire its fields and an
+ * artifact. The socket reactor's reassembly and Server::handleFrame
+ * check bytes in memory with scanEnvelope; readFrame and
+ * readStoreFrame read a stream with readEnvelope. The artifact store
+ * reads the payload straight into the string it returns between
+ * readEnvelopeHeader and readEnvelopeTrailer, readEnvelope's two
+ * halves.
  */
 
 #ifndef WCT_DATA_BINARY_IO_HH
@@ -137,6 +139,11 @@ class ByteParser
 void writeEnvelope(std::ostream &out, std::string_view magic8,
                    std::uint32_t version,
                    std::initializer_list<std::string_view> parts);
+
+/** writeEnvelope's bytes as one string, allocated once at its final
+ * size: how every wire frame is built. */
+std::string sealEnvelope(std::string_view magic8, std::uint32_t version,
+                         std::initializer_list<std::string_view> parts);
 
 /** What scanEnvelope found at the front of a byte buffer. */
 struct EnvelopeScan

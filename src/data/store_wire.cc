@@ -1,7 +1,5 @@
 #include "data/store_wire.hh"
 
-#include <sstream>
-
 namespace wct
 {
 
@@ -99,10 +97,15 @@ storeStatusName(StoreStatus status)
     return "unknown";
 }
 
+// Both encoders split an artifact payload, always the last field,
+// from putString's layout: the sink takes its length and sealEnvelope
+// appends its bytes, so they are copied once, into the frame.
+
 std::string
 encodeStoreRequest(const StoreRequest &request)
 {
     ByteSink sink;
+    std::string_view payload;
     sink.putU8(static_cast<std::uint8_t>(request.op));
     sink.putU64(request.id);
     switch (request.op) {
@@ -113,7 +116,8 @@ encodeStoreRequest(const StoreRequest &request)
         break;
     case StoreOp::Store:
         appendArtifactId(sink, request.artifact);
-        sink.putString(request.payload);
+        sink.putU64(request.payload.size());
+        payload = request.payload;
         break;
     case StoreOp::Gc:
         sink.putU64(request.graceSeconds);
@@ -126,16 +130,15 @@ encodeStoreRequest(const StoreRequest &request)
     case StoreOp::Shutdown:
         break;
     }
-    std::ostringstream out;
-    writeEnvelope(out, storeMagic(), kStoreWireFormatVersion,
-                  {sink.bytes()});
-    return out.str();
+    return sealEnvelope(storeMagic(), kStoreWireFormatVersion,
+                        {sink.bytes(), payload});
 }
 
 std::string
 encodeStoreResponse(const StoreResponse &response)
 {
     ByteSink sink;
+    std::string_view payload;
     sink.putU8(static_cast<std::uint8_t>(response.op));
     sink.putU64(response.id);
     sink.putU8(static_cast<std::uint8_t>(response.status));
@@ -144,7 +147,8 @@ encodeStoreResponse(const StoreResponse &response)
     } else {
         switch (response.op) {
         case StoreOp::Load:
-            sink.putString(response.payload);
+            sink.putU64(response.payload.size());
+            payload = response.payload;
             break;
         case StoreOp::Stat:
             sink.putU64(response.fileBytes);
@@ -168,10 +172,8 @@ encodeStoreResponse(const StoreResponse &response)
             break;
         }
     }
-    std::ostringstream out;
-    writeEnvelope(out, storeMagic(), kStoreWireFormatVersion,
-                  {sink.bytes()});
-    return out.str();
+    return sealEnvelope(storeMagic(), kStoreWireFormatVersion,
+                        {sink.bytes(), payload});
 }
 
 std::optional<StoreRequest>

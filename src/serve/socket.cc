@@ -332,7 +332,10 @@ SocketServer::drainCompletions()
         Conn &conn = it->second;
         conn.busy = false;
         try {
-            conn.out += completion.frame;
+            if (conn.out.empty())
+                conn.out = std::move(completion.frame); // not a copy
+            else
+                conn.out += completion.frame;
         } catch (const std::bad_alloc &) {
             closeConn(completion.conn);
             continue;

@@ -1,9 +1,5 @@
 #include "serve/wire.hh"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
-
 #include "data/binary_io.hh"
 
 namespace wct::serve
@@ -43,9 +39,7 @@ validOpcode(std::uint8_t op)
 std::string
 sealed(const ByteSink &sink)
 {
-    std::ostringstream out;
-    writeEnvelope(out, magic(), kWireFormatVersion, {sink.bytes()});
-    return out.str();
+    return sealEnvelope(magic(), kWireFormatVersion, {sink.bytes()});
 }
 
 } // namespace

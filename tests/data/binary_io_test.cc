@@ -254,6 +254,29 @@ sealFrame(std::string_view payload)
     return out.str();
 }
 
+TEST(EnvelopeTest, SealedFrameIsTheStreamWritersBytesInOneBuffer)
+{
+    // sealEnvelope (wire frames) and writeEnvelope (files) write one
+    // layout, however the payload is cut into parts, and the frame is
+    // allocated once at its final size.
+    const std::string payload = "kind\x02payload bytes";
+    for (const std::size_t cut : {std::size_t(0), std::size_t(4),
+                                  payload.size()}) {
+        SCOPED_TRACE("cut at " + std::to_string(cut));
+        const std::string_view head =
+            std::string_view(payload).substr(0, cut);
+        const std::string_view tail =
+            std::string_view(payload).substr(cut);
+        const std::string frame =
+            sealEnvelope(kTestMagic, kDatasetFormatVersion, {head, tail});
+        EXPECT_EQ(frame, sealFrame(payload));
+        // Not grown by doubling; a library may round up an allocation.
+        EXPECT_LT(frame.capacity(), frame.size() + 16);
+    }
+    EXPECT_EQ(sealEnvelope(kTestMagic, kDatasetFormatVersion, {}),
+              sealFrame(""));
+}
+
 TEST(EnvelopeScanTest, EachFieldIsCheckedAsSoonAsItsBytesAreIn)
 {
     // Each row is fed to scanEnvelope one prefix at a time, as a
